@@ -1521,6 +1521,9 @@ fn e11_recovery() {
             .flat_map(|(_, _, ops)| ops.iter())
             .map(|op| match op {
                 sedna_wal::RedoOp::Page(_, _, sedna_wal::PageOp::Image(img)) => img.len(),
+                sedna_wal::RedoOp::Page(_, _, sedna_wal::PageOp::Delta(ranges)) => {
+                    ranges.iter().map(|(_, bytes)| 8 + bytes.len()).sum()
+                }
                 _ => 16,
             })
             .sum();
@@ -1528,7 +1531,7 @@ fn e11_recovery() {
         let mut s = reopened.session();
         let n = s.query("count(doc('lib')/library/book[1]/author)").unwrap();
         println!(
-            "{txns:4} committed txns{}: recovery {t:?}, redo of {redo_txns} txns / {} KiB of after-images (authors now {n})",
+            "{txns:4} committed txns{}: recovery {t:?}, redo of {redo_txns} txns / {} KiB of page images and deltas (authors now {n})",
             if checkpoint_mid { " + checkpoint 5 txns before crash" } else { "" },
             redo_bytes / 1024
         );

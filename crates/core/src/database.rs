@@ -3,7 +3,7 @@
 //! copy-on-write fork family (instant database forks + `AS OF`
 //! time-travel reads).
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -603,7 +603,7 @@ impl Database {
     /// `commit_ts <= upto_ts` are redone (§6.5 incremental backups).
     pub fn open_with_limit(dir: &Path, cfg: DbConfig, upto_ts: Option<u64>) -> DbResult<Database> {
         let wal_path = dir.join(WAL_FILE);
-        let plan = plan_recovery(&wal_path, upto_ts)?;
+        let mut plan = plan_recovery(&wal_path, upto_ts)?;
         let store = Arc::new(FilePageStore::open(&dir.join(DATA_FILE), cfg.page_size)?);
         let txns = Arc::new(TxnManager::new(Arc::clone(&store) as Arc<dyn PageStore>));
         let resolver: Arc<dyn PageResolver> = Arc::clone(&txns.versions) as Arc<dyn PageResolver>;
@@ -656,9 +656,21 @@ impl Database {
 
         // -------- Step 2: redo committed transactions, interleaved with
         // fork lifecycle events in exact log order. An event anchored at
-        // redo index `i` applies after the first `i` redo entries.
+        // redo index `i` applies after the first `i` redo entries. The
+        // redo list is consumed: each image is dropped once written.
+        let redo = std::mem::take(&mut plan.redo);
+        let redo_pages: HashSet<u64> = redo
+            .iter()
+            .flat_map(|(_, _, ops)| ops)
+            .filter_map(|op| match op {
+                RedoOp::Page(page, ..) => Some(page.raw()),
+                _ => None,
+            })
+            .collect();
+        let mut redo = redo.into_iter();
+        let mut page_buf = vec![0u8; cfg.page_size];
         let mut events = plan.branch_events.iter().peekable();
-        for idx in 0..=plan.redo.len() {
+        for idx in 0..=redo.len() {
             while let Some((anchor, ev)) = events.peek() {
                 if *anchor > idx {
                     break;
@@ -684,35 +696,53 @@ impl Database {
                 }
                 events.next();
             }
-            let Some((_txn, ts, ops)) = plan.redo.get(idx) else {
+            let Some((_txn, ts, ops)) = redo.next() else {
                 continue;
+            };
+            // Where a page's redone state goes: the newest same-branch slot
+            // when no child branch still resolves to it; otherwise the old
+            // image stays live and the redo gets a fresh slot.
+            let redo_slot = |branch: u32, page: XPtr| -> DbResult<sedna_sas::PhysId> {
+                if let Some(p) = versions.redo_reuse_slot(branch, page, ts) {
+                    return Ok(p);
+                }
+                let p = store.alloc()?;
+                versions.install_committed_at(branch, page, p, ts);
+                Ok(p)
             };
             for op in ops {
                 match op {
                     RedoOp::Page(page, branch, PageOp::Image(image)) => {
-                        // Reuse the newest same-branch slot when no child
-                        // branch still resolves to it; otherwise the old
-                        // image stays live and the redo gets a fresh slot.
-                        let phys = match versions.redo_reuse_slot(*branch, *page, *ts) {
-                            Some(p) => p,
-                            None => {
-                                let p = store.alloc()?;
-                                versions.install_committed_at(*branch, *page, p, *ts);
-                                p
-                            }
-                        };
-                        store.write(phys, image)?;
+                        store.write(redo_slot(branch, page)?, &image)?;
+                    }
+                    RedoOp::Page(page, branch, PageOp::Delta(ranges)) => {
+                        // The base is what the branch sees at this point
+                        // of the replay: the same version the commit
+                        // diffed against, or — replaying over an
+                        // interrupted recovery's writes — a later state of
+                        // it, which the ranges still converge from (see
+                        // `sedna_wal::delta`). Resolved before the slot
+                        // choice, which may re-stamp that very version.
+                        let base = versions.resolve_read(page, branch_latest_view(branch))?;
+                        store.read(base, &mut page_buf)?;
+                        if !sedna_wal::delta::apply(&mut page_buf, &ranges) {
+                            return Err(DbError::Conflict(format!(
+                                "log delta for page {page} does not fit a {}-byte page",
+                                cfg.page_size
+                            )));
+                        }
+                        store.write(redo_slot(branch, page)?, &page_buf)?;
                     }
                     RedoOp::Page(page, branch, PageOp::Free) => {
-                        versions.install_drop(*branch, *page, *ts);
+                        versions.install_drop(branch, page, ts);
                     }
                     RedoOp::CatalogPut(branch, key, payload) => {
-                        let cat = catalogs.entry(*branch).or_default();
-                        apply_catalog_put(cat, key, payload)?;
+                        let cat = catalogs.entry(branch).or_default();
+                        apply_catalog_put(cat, &key, &payload)?;
                     }
                     RedoOp::CatalogDrop(branch, key) => {
-                        if let Some(cat) = catalogs.get_mut(branch) {
-                            apply_catalog_drop(cat, key);
+                        if let Some(cat) = catalogs.get_mut(&branch) {
+                            apply_catalog_drop(cat, &key);
                         }
                     }
                 }
@@ -730,10 +760,16 @@ impl Database {
         // Rebuild the SAS address allocator: next address past every live
         // page (checkpoint free-list recycled addresses are dropped —
         // they are regained at the post-recovery checkpoint).
-        let alloc_state = rebuild_alloc(&plan, cfg.page_size, cfg.layer_size);
+        let alloc_state = rebuild_alloc(
+            plan.checkpoint.as_ref(),
+            redo_pages,
+            cfg.page_size,
+            cfg.layer_size,
+        );
         sas.allocator().restore(alloc_state);
 
-        let wal = WalWriter::open(&wal_path)?;
+        // Appending resumes where the recovery scan found the log's end.
+        let wal = WalWriter::open(&wal_path, plan.end_lsn)?;
         let obs = DbObs::new();
         sas.pool().metrics().register_into(&obs.registry);
         txns.metrics().register_into(&obs.registry);
@@ -1092,23 +1128,17 @@ fn apply_catalog_drop(catalog: &mut Catalog, key: &str) {
 /// checkpoint's free list are kept only if the redo log did not re-issue
 /// them.
 fn rebuild_alloc(
-    plan: &sedna_wal::RecoveryPlan,
+    checkpoint: Option<&CheckpointData>,
+    redo_pages: HashSet<u64>,
     page_size: usize,
     layer_size: u64,
 ) -> sedna_sas::AllocState {
     // Every page address known to exist (checkpoint + redo, including
     // pages later freed — their addresses were issued at some point).
-    let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    if let Some(cp) = &plan.checkpoint {
+    let mut seen = redo_pages;
+    if let Some(cp) = checkpoint {
         seen.extend(cp.page_table.iter().map(|(page, ..)| page.raw()));
         seen.extend(cp.drops.iter().map(|(page, ..)| page.raw()));
-    }
-    for (_, _, ops) in &plan.redo {
-        for op in ops {
-            if let RedoOp::Page(page, _, _) = op {
-                seen.insert(page.raw());
-            }
-        }
     }
     let max_page = seen.iter().copied().map(XPtr::from_raw).max();
 
@@ -1125,7 +1155,7 @@ fn rebuild_alloc(
     // The checkpointed allocator's next pointer; the sentinel
     // `next_addr == u32::MAX` means "nothing issued yet" and must not be
     // compared as a huge address.
-    let cp = plan.checkpoint.as_ref().map(|c| &c.alloc);
+    let cp = checkpoint.map(|c| &c.alloc);
     let cp_next = cp.and_then(|a| (a.next_addr != u32::MAX).then_some((a.next_layer, a.next_addr)));
 
     let (next_layer, next_addr) = match (past_max, cp_next) {

@@ -12,9 +12,11 @@
 //! ([`Session::begin_update`] / [`Session::begin_read_only`] …
 //! [`Session::commit`] / [`Session::rollback`]).
 //!
-//! Commit protocol (WAL, §6.4): the transaction's working pages are
-//! logged as full after-images, page frees and catalog deltas follow,
-//! then the commit record; the log is forced before locks are released.
+//! Commit protocol (WAL, §6.4): each of the transaction's working pages
+//! is logged as the byte ranges it changed relative to the committed
+//! version it supersedes (or as a full after-image when it has none on
+//! this branch), page frees and catalog entries follow, then the commit
+//! record; the log is forced before locks are released.
 //! Rollback needs no undo log — working page versions are simply
 //! discarded (§6.1) and the in-memory catalog entries are restored from
 //! the transaction's undo copies.
@@ -462,18 +464,24 @@ impl Session {
         let txn_id = handle.id;
         {
             let mut wal = self.db.wal.lock();
-            // 1. Page after-images.
-            for page in versions.working_pages(txn_id) {
-                let image = {
-                    let guard = self.vas.read(page)?;
-                    guard.to_vec()
+            // 1. What each working page changed: its byte-range delta
+            // against the committed version it supersedes (still in the
+            // version chain until step 4's purge), or its full image when
+            // there is no such version on this branch.
+            let pool = self.db.sas.pool();
+            let store = self.db.sas.store().as_ref();
+            let mut base_buf = Vec::new();
+            for work in versions.working_pages(txn_id) {
+                let image = self.vas.read(work.page)?;
+                let base = match work.base {
+                    Some(phys) => {
+                        base_buf.resize(image.len(), 0);
+                        pool.read_into(phys, store, &mut base_buf)?;
+                        Some(base_buf.as_slice())
+                    }
+                    None => None,
                 };
-                wal.append(&WalRecord::PageImage {
-                    txn: txn_id.0,
-                    branch: self.db.branch,
-                    page,
-                    image,
-                })?;
+                wal.append_page(txn_id.0, self.db.branch, work.page, base, &image)?;
             }
             // 2. Page frees.
             for page in versions.pending_frees(txn_id) {
@@ -1209,7 +1217,7 @@ impl Session {
                                     .map_err(DbError::Storage)?,
                             );
                             self.collect_affected_entries(
-                                &d.schema,
+                                d,
                                 &idx.meta,
                                 node,
                                 matches!(&plan, update::UpdatePlan::ReplaceValue { .. }),
@@ -1248,7 +1256,7 @@ impl Session {
                                         .map_err(DbError::Storage)?,
                                 );
                                 self.collect_affected_entries(
-                                    &d.schema,
+                                    d,
                                     &idx.meta,
                                     node,
                                     true,
@@ -1263,7 +1271,7 @@ impl Session {
                                         .map_err(DbError::Storage)?,
                                 );
                                 self.collect_affected_entries(
-                                    &d.schema,
+                                    d,
                                     &idx.meta,
                                     node,
                                     true,
@@ -1305,17 +1313,22 @@ impl Session {
         Ok(outcome.affected)
     }
 
-    /// Collects `(key, handle)` entries for index `meta` among `root` and
-    /// its descendants (and, when `include_ancestors`, the indexed
-    /// ancestors whose BY path may pass through the changed node).
+    /// Collects `(key, handle)` entries for index `meta` on document `doc`
+    /// among `root` and its descendants (and, when `include_ancestors`,
+    /// the indexed ancestors whose BY path may pass through the changed
+    /// node). Takes the document from the caller's catalog guard and never
+    /// touches the catalog lock itself: a second `read()` under the
+    /// caller's would deadlock against a writer queued in between.
     fn collect_affected_entries(
         &self,
-        schema: &sedna_schema::SchemaTree,
+        doc: &DocData,
         meta: &IndexMeta,
         root: NodeRef,
         include_ancestors: bool,
         out: &mut Vec<(sedna_index::IndexKey, XPtr)>,
     ) -> DbResult<()> {
+        let schema = &doc.schema;
+        let mode = doc.storage.mode;
         let on_sids: HashSet<_> = catalog::on_schema_nodes(schema, meta).into_iter().collect();
         // The subtree.
         let mut stack = vec![root];
@@ -1337,10 +1350,6 @@ impl Session {
         }
         // Ancestors (value changes can affect an ancestor's key).
         if include_ancestors {
-            let mode = {
-                let catalog = self.db.catalog.read();
-                catalog.doc(&meta.doc)?.storage.mode
-            };
             let mut cur = root.parent(&self.vas, mode).map_err(DbError::Storage)?;
             while let Some(n) = cur {
                 let sid = n.schema(&self.vas).map_err(DbError::Storage)?;

@@ -986,6 +986,26 @@ impl BufferPool {
         }
     }
 
+    /// Copies the current bytes of slot `phys` into `buf` without making
+    /// the page resident: from its frame when it has one, else from the
+    /// store, which is current for every page that has no frame (eviction
+    /// writes dirty frames back first). For one-off reads of a version no
+    /// session will dereference again — the committed base a commit diffs
+    /// its working page against — which would otherwise evict a frame
+    /// someone is using.
+    pub fn read_into(&self, phys: PhysId, store: &dyn PageStore, buf: &mut [u8]) -> SasResult<()> {
+        let resident = {
+            let state = self.shards[self.shard_of(phys)].state.read();
+            state.map.get(&phys).map(|&idx| self.frame_ref(idx))
+        };
+        // A frame recycled since the probe was flushed before it was reused.
+        match resident.and_then(|fref| self.try_read(&fref, phys)) {
+            Some(guard) => buf.copy_from_slice(&guard),
+            None => store.read(phys, buf)?,
+        }
+        Ok(())
+    }
+
     /// Counts one new pin and refreshes the high-water mark; the token
     /// releases the pin when the guard drops.
     fn pin_token(&self) -> PinToken {
@@ -1239,6 +1259,31 @@ mod tests {
         pool.reset_stats();
         let after = pool.stats();
         assert_eq!(after, BufferStats::default());
+    }
+
+    #[test]
+    fn read_into_sees_dirty_frames_and_evicted_pages_without_loading() {
+        let (pool, store) = setup(1);
+        let (a, b) = (store.alloc().unwrap(), store.alloc().unwrap());
+        let fref = pool
+            .acquire_fresh(XPtr::new(0, 512), a, store.as_ref())
+            .unwrap();
+        pool.try_write(&fref, a).unwrap()[PAGE_HEADER_LEN] = 0x5A;
+        let mut buf = vec![0u8; PS];
+        // Resident and dirty: the store still holds zeros.
+        pool.read_into(a, store.as_ref(), &mut buf).unwrap();
+        assert_eq!(buf[PAGE_HEADER_LEN], 0x5A);
+        // Evicted (written back) by the next page: read from the store,
+        // and the single frame stays with its current page.
+        pool.acquire_fresh(XPtr::new(0, 1024), b, store.as_ref())
+            .unwrap();
+        let misses = pool.stats().misses;
+        buf.fill(0);
+        pool.read_into(a, store.as_ref(), &mut buf).unwrap();
+        assert_eq!(buf[PAGE_HEADER_LEN], 0x5A);
+        assert_eq!(pool.stats().misses, misses);
+        assert_eq!(pool.resident(), 1);
+        assert_eq!(pool.pinned(), 0);
     }
 
     #[test]

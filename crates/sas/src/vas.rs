@@ -27,7 +27,7 @@
 use sedna_sync::Arc;
 use std::cell::{Cell, RefCell};
 
-use crate::buffer::{FrameRef, PageRead, PageWrite};
+use crate::buffer::{BufferPool, FrameRef, PageRead, PageWrite};
 use crate::error::{SasError, SasResult};
 use crate::resolver::{TxnToken, View};
 use crate::store::PhysId;
@@ -67,6 +67,13 @@ impl Default for Slot {
         }
     }
 }
+
+/// How often a dereference re-acquires a frame that another session's
+/// eviction recycled between `acquire` and the frame lock before it gives
+/// up. One retry already needs the victim clock to come full circle within
+/// a few instructions; this many in a row means the pool is too small for
+/// the sessions sharing it.
+const LOCK_RETRIES: usize = 8;
 
 /// A session's emulated process virtual address space.
 pub struct Vas {
@@ -168,6 +175,34 @@ impl Vas {
         idx
     }
 
+    /// Locks the frame holding `phys` with `lock` (`try_read`/`try_write`),
+    /// starting from `first` when the caller already made the page resident
+    /// (retarget, fresh page). Between the pool handing out a frame and the
+    /// lock being taken, another session's miss may evict that frame — its
+    /// content, if dirty, is then in the store — so a lock that finds the
+    /// frame recycled re-acquires instead of failing. An exhausted pool
+    /// still surfaces as the `acquire`'s own [`SasError::PoolExhausted`].
+    fn lock_frame<G>(
+        &self,
+        page: XPtr,
+        phys: PhysId,
+        first: Option<FrameRef>,
+        lock: impl Fn(&BufferPool, &FrameRef, PhysId) -> Option<G>,
+    ) -> SasResult<(FrameRef, G)> {
+        let pool = self.sas.pool();
+        let mut fref = first;
+        for _ in 0..LOCK_RETRIES {
+            let f = match fref.take() {
+                Some(f) => f,
+                None => pool.acquire(page, phys, self.sas.store().as_ref())?,
+            };
+            if let Some(guard) = lock(pool, &f, phys) {
+                return Ok((f, guard));
+            }
+        }
+        Err(SasError::PoolExhausted)
+    }
+
     /// Dereferences `ptr` for reading: returns a read guard over the whole
     /// page containing `ptr`.
     pub fn read(&self, ptr: XPtr) -> SasResult<PageRead> {
@@ -191,15 +226,7 @@ impl Vas {
             }
             // Frame recycled by the pool: re-acquire, translation unchanged.
             self.stale_refreshes.set(self.stale_refreshes.get() + 1);
-            let fref = self
-                .sas
-                .pool()
-                .acquire(page, phys, self.sas.store().as_ref())?;
-            let guard = self
-                .sas
-                .pool()
-                .try_read(&fref, phys)
-                .ok_or(SasError::PoolExhausted)?;
+            let (fref, guard) = self.lock_frame(page, phys, None, BufferPool::try_read)?;
             self.slots.borrow_mut()[idx].fref = Some(fref);
             return Ok(guard);
         }
@@ -218,15 +245,7 @@ impl Vas {
             }
         }
         let phys = self.sas.resolver().resolve_read(page, self.view.get())?;
-        let fref = self
-            .sas
-            .pool()
-            .acquire(page, phys, self.sas.store().as_ref())?;
-        let guard = self
-            .sas
-            .pool()
-            .try_read(&fref, phys)
-            .ok_or(SasError::PoolExhausted)?;
+        let (fref, guard) = self.lock_frame(page, phys, None, BufferPool::try_read)?;
         self.slots.borrow_mut()[idx] = Slot {
             page,
             phys,
@@ -259,15 +278,7 @@ impl Vas {
                 return Ok(guard);
             }
             self.stale_refreshes.set(self.stale_refreshes.get() + 1);
-            let fref = self
-                .sas
-                .pool()
-                .acquire(page, phys, self.sas.store().as_ref())?;
-            let guard = self
-                .sas
-                .pool()
-                .try_write(&fref, phys)
-                .ok_or(SasError::PoolExhausted)?;
+            let (fref, guard) = self.lock_frame(page, phys, None, BufferPool::try_write)?;
             self.slots.borrow_mut()[idx].fref = Some(fref);
             return Ok(guard);
         }
@@ -286,17 +297,13 @@ impl Vas {
         }
         let plan = self.sas.resolver().resolve_write(page, txn)?;
         let store = self.sas.store().as_ref();
-        let fref = match plan.copy_from {
-            Some(old_phys) if old_phys != plan.phys => {
-                self.sas.pool().retarget(page, old_phys, plan.phys, store)?
+        let retargeted = match plan.copy_from {
+            Some(old) if old != plan.phys => {
+                Some(self.sas.pool().retarget(page, old, plan.phys, store)?)
             }
-            _ => self.sas.pool().acquire(page, plan.phys, store)?,
+            _ => None,
         };
-        let guard = self
-            .sas
-            .pool()
-            .try_write(&fref, plan.phys)
-            .ok_or(SasError::PoolExhausted)?;
+        let (fref, guard) = self.lock_frame(page, plan.phys, retargeted, BufferPool::try_write)?;
         self.slots.borrow_mut()[idx] = Slot {
             page,
             phys: plan.phys,
@@ -320,15 +327,11 @@ impl Vas {
             .allocator()
             .alloc_page(cfg.page_size, cfg.layer_size);
         let phys = self.sas.resolver().on_page_alloc(page, txn)?;
-        let fref = self
+        let fresh = self
             .sas
             .pool()
             .acquire_fresh(page, phys, self.sas.store().as_ref())?;
-        let guard = self
-            .sas
-            .pool()
-            .try_write(&fref, phys)
-            .ok_or(SasError::PoolExhausted)?;
+        let (fref, guard) = self.lock_frame(page, phys, Some(fresh), BufferPool::try_write)?;
         let idx = self.slot_of(page);
         self.slots.borrow_mut()[idx] = Slot {
             page,
@@ -465,6 +468,60 @@ mod tests {
             stats.stale_refreshes >= 1,
             "expected stale refresh, stats: {stats:?}"
         );
+    }
+
+    #[test]
+    fn frame_recycled_between_acquire_and_lock_is_reacquired() {
+        // One frame, two sessions: whatever one session makes resident,
+        // the other's next miss evicts.
+        let sas = tiny_sas(1);
+        let writer = sas.session();
+        writer.begin(View::LATEST, Some(TxnToken(1)));
+        let mut pages = Vec::new();
+        for fill in [0xA1u8, 0xB2] {
+            let (p, mut w) = writer.alloc_page().unwrap();
+            w.bytes_mut()[PAGE_HEADER_LEN] = fill;
+            drop(w);
+            pages.push(p);
+        }
+        let (p1, p2) = (pages[0], pages[1]);
+        let reader = sas.session();
+        reader.begin(View::LATEST, None);
+        let evictor = sas.session();
+        evictor.begin(View::LATEST, None);
+        let phys1 = sas.resolver().resolve_read(p1, View::LATEST).unwrap();
+
+        // The other session's miss lands exactly between this session's
+        // `acquire` and its frame lock, `evictions` times in a row.
+        let read_with_evictions = |evictions: usize| {
+            let calls = Cell::new(0);
+            reader.lock_frame(p1, phys1, None, |pool, fref, phys| {
+                calls.set(calls.get() + 1);
+                if calls.get() <= evictions {
+                    assert_eq!(evictor.read(p2).unwrap()[PAGE_HEADER_LEN], 0xB2);
+                }
+                pool.try_read(fref, phys)
+            })
+        };
+        for evictions in [1, 3, LOCK_RETRIES - 1] {
+            let (_, guard) = read_with_evictions(evictions)
+                .unwrap_or_else(|e| panic!("{evictions} evictions reported as {e}"));
+            assert_eq!(guard[PAGE_HEADER_LEN], 0xA1);
+        }
+        // Only a frame lost on every single attempt gives up.
+        assert!(matches!(
+            read_with_evictions(LOCK_RETRIES),
+            Err(SasError::PoolExhausted)
+        ));
+
+        // The same through the public dereference: the reader's cached
+        // translation goes stale while the evictor has the frame, and
+        // every read still succeeds.
+        for _ in 0..50 {
+            assert_eq!(reader.read(p1).unwrap()[PAGE_HEADER_LEN], 0xA1);
+            assert_eq!(evictor.read(p2).unwrap()[PAGE_HEADER_LEN], 0xB2);
+        }
+        assert!(reader.stats().stale_refreshes > 0);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use manager::{TxnHandle, TxnKind, TxnManager};
 pub use metrics::{LockMetrics, TxnMetrics};
 pub use version::{
     branch_latest_view, branch_snapshot_view, snapshot_view, txn_view, BranchInfo, Snapshot,
-    VersionManager, VersionStats, ROOT_BRANCH,
+    VersionManager, VersionStats, WorkingPage, ROOT_BRANCH,
 };
 
 /// Transaction identifier.

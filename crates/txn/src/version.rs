@@ -160,6 +160,18 @@ pub struct VersionStats {
     pub branches: u64,
 }
 
+/// A page a transaction has a working version of, and what it replaces.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WorkingPage {
+    /// The SAS page.
+    pub page: XPtr,
+    /// Slot of the committed version the working copy was made from, when
+    /// that version lives on the transaction's own branch: the base a
+    /// commit may log a byte-range delta against. `None` for a fresh page
+    /// and for the first write on a fork, whose base is an ancestor's.
+    pub base: Option<PhysId>,
+}
+
 struct VmState {
     chains: HashMap<u64, Chain>,
     /// Last assigned commit timestamp (shared by every branch).
@@ -170,6 +182,12 @@ struct VmState {
     branches: HashMap<u32, BranchInfo>,
     /// Branch each active non-root transaction runs on.
     txn_branch: HashMap<u64, u32>,
+    /// Pages each active update transaction has touched, recorded where a
+    /// working version or pending free is created, so commit and rollback
+    /// visit only these instead of every chain. Entries may repeat or have
+    /// gone stale (a page allocated and freed again): readers go through
+    /// [`VmState::touched`] and check the chain.
+    txn_pages: HashMap<u64, Vec<u64>>,
     stats: VersionStats,
 }
 
@@ -180,12 +198,40 @@ impl VmState {
 
     /// Every `(branch, ts_limit)` pair some live reader may resolve
     /// through: the latest state of each branch plus every pinned
-    /// snapshot.
+    /// snapshot. The persistent snapshot counts on every branch: a
+    /// checkpoint records the whole family's page table, and recovery
+    /// reads those slots as the base of logged deltas, so none of them may
+    /// be recycled before the next checkpoint.
     fn live_views(&self) -> Vec<(u32, u64)> {
         let mut views = vec![(ROOT_BRANCH, u64::MAX)];
         views.extend(self.branches.keys().map(|&b| (b, u64::MAX)));
-        views.extend(self.snapshots.iter().map(|s| (s.branch, s.snap.ts)));
+        for s in &self.snapshots {
+            views.push((s.branch, s.snap.ts));
+            if s.persistent {
+                views.extend(self.branches.keys().map(|&b| (b, s.snap.ts)));
+            }
+        }
         views
+    }
+
+    fn note_touched(&mut self, txn: TxnId, page: u64) {
+        self.txn_pages.entry(txn.0).or_default().push(page);
+    }
+
+    /// The pages `txn` has touched, once each, ascending.
+    fn touched(&self, txn: TxnId) -> Vec<u64> {
+        let mut pages = self.txn_pages.get(&txn.0).cloned().unwrap_or_default();
+        pages.sort_unstable();
+        pages.dedup();
+        pages
+    }
+
+    /// Is the newest version of `chain` a working version of `txn`?
+    fn has_working(chain: &Chain, txn: TxnId) -> bool {
+        chain
+            .versions
+            .first()
+            .is_some_and(|v| v.committed.is_none() && v.creator == txn)
     }
 }
 
@@ -247,6 +293,7 @@ impl VersionManager {
                 active: Vec::new(),
                 branches: HashMap::new(),
                 txn_branch: HashMap::new(),
+                txn_pages: HashMap::new(),
                 stats: VersionStats::default(),
             }),
         })
@@ -306,14 +353,16 @@ impl VersionManager {
             let mut st = self.state.lock();
             st.current_ts += 1;
             ts = st.current_ts;
-            let mut touched = Vec::new();
-            for (&page, chain) in st.chains.iter_mut() {
+            let pages = st.touched(txn);
+            st.txn_pages.remove(&txn.0);
+            for page in pages {
+                let Some(chain) = st.chains.get_mut(&page) else {
+                    continue;
+                };
                 let mut changed = false;
-                if let Some(v) = chain.versions.first_mut() {
-                    if v.committed.is_none() && v.creator == txn {
-                        v.committed = Some(ts);
-                        changed = true;
-                    }
+                if VmState::has_working(chain, txn) {
+                    chain.versions[0].committed = Some(ts);
+                    changed = true;
                 }
                 for d in chain.drops.values_mut() {
                     if *d == DropState::PendingBy(txn) {
@@ -322,11 +371,8 @@ impl VersionManager {
                     }
                 }
                 if changed {
-                    touched.push(page);
+                    freed.extend(Self::purge_chain(&mut st, page));
                 }
-            }
-            for page in touched {
-                freed.extend(Self::purge_chain(&mut st, page));
             }
             st.active.retain(|&t| t != txn);
             st.txn_branch.remove(&txn.0);
@@ -339,34 +385,38 @@ impl VersionManager {
     }
 
     /// Pages whose newest version is a working version of `txn` — the set
-    /// the database core logs as after-images at commit time.
-    pub fn working_pages(&self, txn: TxnId) -> Vec<XPtr> {
+    /// the database core logs at commit time — in ascending page order,
+    /// each with the committed same-branch version it supersedes.
+    pub fn working_pages(&self, txn: TxnId) -> Vec<WorkingPage> {
         let st = self.state.lock();
-        let mut out: Vec<XPtr> = st
-            .chains
-            .iter()
-            .filter(|(_, c)| {
-                c.versions
-                    .first()
-                    .is_some_and(|v| v.committed.is_none() && v.creator == txn)
+        let branch = st.branch_of(txn);
+        st.touched(txn)
+            .into_iter()
+            .filter_map(|page| {
+                let chain = st.chains.get(&page)?;
+                VmState::has_working(chain, txn).then(|| WorkingPage {
+                    page: XPtr::from_raw(page),
+                    base: lineage_find(chain, &st.branches, branch, u64::MAX)
+                        .filter(|v| v.branch == branch)
+                        .map(|v| v.phys),
+                })
             })
-            .map(|(&page, _)| XPtr::from_raw(page))
-            .collect();
-        out.sort();
-        out
+            .collect()
     }
 
-    /// Pages with a pending free by `txn` (logged as PageFree records).
+    /// Pages with a pending free by `txn` (logged as PageFree records), in
+    /// ascending page order.
     pub fn pending_frees(&self, txn: TxnId) -> Vec<XPtr> {
         let st = self.state.lock();
-        let mut out: Vec<XPtr> = st
-            .chains
-            .iter()
-            .filter(|(_, c)| c.drops.values().any(|d| *d == DropState::PendingBy(txn)))
-            .map(|(&page, _)| XPtr::from_raw(page))
-            .collect();
-        out.sort();
-        out
+        st.touched(txn)
+            .into_iter()
+            .filter(|page| {
+                st.chains
+                    .get(page)
+                    .is_some_and(|c| c.drops.values().any(|d| *d == DropState::PendingBy(txn)))
+            })
+            .map(XPtr::from_raw)
+            .collect()
     }
 
     /// Rolls `txn` back: its working versions are simply discarded and
@@ -377,23 +427,21 @@ impl VersionManager {
         let mut fresh_pages = Vec::new();
         {
             let mut st = self.state.lock();
-            let mut emptied = Vec::new();
-            for (&page, chain) in st.chains.iter_mut() {
-                if let Some(v) = chain.versions.first() {
-                    if v.committed.is_none() && v.creator == txn {
-                        discarded.push(v.phys);
-                        chain.versions.remove(0);
-                        if chain.versions.is_empty() {
-                            emptied.push(page);
-                            fresh_pages.push(XPtr::from_raw(page));
-                        }
-                    }
-                }
+            let pages = st.touched(txn);
+            st.txn_pages.remove(&txn.0);
+            for page in pages {
+                let Some(chain) = st.chains.get_mut(&page) else {
+                    continue;
+                };
                 // A free performed by the aborting txn is undone.
                 chain.drops.retain(|_, d| *d != DropState::PendingBy(txn));
-            }
-            for page in emptied {
-                st.chains.remove(&page);
+                if VmState::has_working(chain, txn) {
+                    discarded.push(chain.versions.remove(0).phys);
+                    if chain.versions.is_empty() {
+                        st.chains.remove(&page);
+                        fresh_pages.push(XPtr::from_raw(page));
+                    }
+                }
             }
             st.active.retain(|&t| t != txn);
             st.txn_branch.remove(&txn.0);
@@ -842,6 +890,7 @@ impl PageResolver for VersionManager {
                 branch,
             },
         );
+        st.note_touched(txn, page.raw());
         st.stats.versions_created += 1;
         // "Old versions are purged when they are not needed anymore [...]
         // this condition is checked when a new version of a page is
@@ -862,12 +911,15 @@ impl PageResolver for VersionManager {
         let phys = self.store.alloc()?;
         let mut st = self.state.lock();
         let version = match txn {
-            Some(t) => Version {
-                phys,
-                committed: None,
-                creator: TxnId(t.0),
-                branch: st.branch_of(TxnId(t.0)),
-            },
+            Some(t) => {
+                st.note_touched(TxnId(t.0), page.raw());
+                Version {
+                    phys,
+                    committed: None,
+                    creator: TxnId(t.0),
+                    branch: st.branch_of(TxnId(t.0)),
+                }
+            }
             None => Version {
                 phys,
                 committed: Some(st.current_ts),
@@ -927,6 +979,7 @@ impl PageResolver for VersionManager {
                     // Committed versions remain until the transaction
                     // commits (the free is undone on rollback).
                     chain.drops.insert(branch, DropState::PendingBy(TxnId(t.0)));
+                    st.note_touched(TxnId(t.0), page.raw());
                 }
                 Some(_) => {
                     // The page never had a committed version: the chain
@@ -1382,5 +1435,186 @@ mod tests {
             vm.redo_reuse_slot(ROOT_BRANCH, page(1), 12),
             Some(PhysId(1))
         );
+    }
+
+    /// What `working_pages` / `pending_frees` answered when they scanned
+    /// every chain: the reference the per-transaction lists must match.
+    fn scan_all_chains(vm: &VersionManager, txn: TxnId) -> (Vec<XPtr>, Vec<XPtr>) {
+        let st = vm.state.lock();
+        let mut working: Vec<XPtr> = st
+            .chains
+            .iter()
+            .filter(|(_, c)| VmState::has_working(c, txn))
+            .map(|(&p, _)| XPtr::from_raw(p))
+            .collect();
+        let mut frees: Vec<XPtr> = st
+            .chains
+            .iter()
+            .filter(|(_, c)| c.drops.values().any(|d| *d == DropState::PendingBy(txn)))
+            .map(|(&p, _)| XPtr::from_raw(p))
+            .collect();
+        working.sort();
+        frees.sort();
+        (working, frees)
+    }
+
+    #[test]
+    fn per_txn_page_lists_match_a_full_scan_on_a_many_page_store() {
+        let (vm, store) = setup();
+        const PAGES: u32 = 3000;
+        let t1 = TxnId(1);
+        vm.begin_update(t1);
+        for n in 1..=PAGES {
+            vm.on_page_alloc(page(n), Some(t1.token())).unwrap();
+        }
+        let (working, frees) = scan_all_chains(&vm, t1);
+        assert_eq!(working.len(), PAGES as usize);
+        assert!(frees.is_empty());
+        let listed: Vec<XPtr> = vm.working_pages(t1).iter().map(|w| w.page).collect();
+        assert_eq!(listed, working, "sorted, as commit_update relies on");
+        assert!(vm.working_pages(t1).iter().all(|w| w.base.is_none()));
+        vm.commit(t1);
+        assert!(vm.working_pages(t1).is_empty());
+
+        // Two interleaved transactions on disjoint pages: writes, a write
+        // then free, a plain free, an alloc then free, a free then
+        // re-alloc of the same address, and repeated writes.
+        let (t2, t3) = (TxnId(2), TxnId(3));
+        vm.begin_update(t2);
+        vm.begin_update(t3);
+        for n in [2900, 17, 1500, 17, 42] {
+            vm.resolve_write(page(n), t2.token()).unwrap();
+        }
+        vm.on_page_free(page(42), Some(t2.token())).unwrap();
+        vm.on_page_free(page(43), Some(t2.token())).unwrap();
+        vm.on_page_alloc(page(PAGES + 1), Some(t2.token())).unwrap();
+        vm.on_page_free(page(PAGES + 1), Some(t2.token())).unwrap();
+        vm.on_page_free(page(44), Some(t2.token())).unwrap();
+        vm.on_page_alloc(page(44), Some(t2.token())).unwrap();
+        for n in [5, 2999] {
+            vm.resolve_write(page(n), t3.token()).unwrap();
+        }
+        vm.on_page_free(page(6), Some(t3.token())).unwrap();
+
+        for txn in [t2, t3] {
+            let (working, frees) = scan_all_chains(&vm, txn);
+            let listed: Vec<XPtr> = vm.working_pages(txn).iter().map(|w| w.page).collect();
+            assert_eq!(listed, working);
+            assert_eq!(vm.pending_frees(txn), frees);
+        }
+        assert_eq!(
+            vm.working_pages(t2)
+                .iter()
+                .map(|w| w.page)
+                .collect::<Vec<_>>(),
+            vec![page(17), page(44), page(1500), page(2900)]
+        );
+        assert_eq!(vm.pending_frees(t2), vec![page(42), page(43)]);
+        // Every rewritten page has its committed predecessor as base; the
+        // re-allocated address is a fresh page (no snapshot or fork kept
+        // its old chain).
+        for w in vm.working_pages(t2) {
+            let committed = vm.resolve_read(w.page, View::LATEST).ok();
+            assert_eq!(w.base, committed);
+            assert_eq!(w.base.is_none(), w.page == page(44));
+        }
+
+        // Rollback of t3 and commit of t2 leave exactly what a full scan
+        // of the chains says they should.
+        let allocated = store.allocated();
+        assert!(vm.rollback(t3).is_empty());
+        assert_eq!(store.allocated(), allocated - 2, "t3's two versions freed");
+        assert!(
+            vm.resolve_read(page(6), View::LATEST).is_ok(),
+            "free undone"
+        );
+        let ts = vm.commit(t2);
+        for txn in [t2, t3] {
+            assert_eq!(scan_all_chains(&vm, txn), (Vec::new(), Vec::new()));
+        }
+        assert!(vm.resolve_read(page(42), View::LATEST).is_err());
+        assert!(vm.resolve_read(page(43), View::LATEST).is_err());
+        assert!(vm.resolve_read(page(44), View::LATEST).is_ok());
+        let (table, drops) = vm.checkpoint_table();
+        assert_eq!(table.len(), PAGES as usize - 2);
+        assert_eq!(table.iter().filter(|r| r.3 == ts).count(), 4);
+        assert!(drops.is_empty(), "fully dropped chains are gone");
+        assert!(vm.state.lock().txn_pages.is_empty());
+    }
+
+    #[test]
+    fn working_page_base_is_same_branch_only() {
+        let (vm, _store) = setup();
+        let t1 = TxnId(1);
+        vm.begin_update(t1);
+        let p0 = vm.on_page_alloc(page(1), Some(t1.token())).unwrap();
+        let fork_ts = vm.commit(t1);
+        vm.create_branch(1, ROOT_BRANCH, fork_ts);
+        // First write on the fork: copied from the parent's version, which
+        // is not a base a delta may name.
+        let tf = TxnId(2);
+        vm.begin_update_on(tf, 1);
+        let plan = vm.resolve_write(page(1), tf.token()).unwrap();
+        assert_eq!(plan.copy_from, Some(p0));
+        assert_eq!(
+            vm.working_pages(tf),
+            vec![WorkingPage {
+                page: page(1),
+                base: None
+            }]
+        );
+        vm.commit(tf);
+        // Second write on the fork: its own version is the base.
+        let tg = TxnId(3);
+        vm.begin_update_on(tg, 1);
+        vm.resolve_write(page(1), tg.token()).unwrap();
+        assert_eq!(vm.working_pages(tg)[0].base, Some(plan.phys));
+        vm.commit(tg);
+        // The parent's base is its own version throughout.
+        let tp = TxnId(4);
+        vm.begin_update(tp);
+        vm.resolve_write(page(1), tp.token()).unwrap();
+        assert_eq!(vm.working_pages(tp)[0].base, Some(p0));
+    }
+
+    #[test]
+    fn persistent_snapshot_pins_fork_versions_too() {
+        let (vm, store) = setup();
+        let t1 = TxnId(1);
+        vm.begin_update(t1);
+        vm.on_page_alloc(page(1), Some(t1.token())).unwrap();
+        let fork_ts = vm.commit(t1);
+        vm.create_branch(1, ROOT_BRANCH, fork_ts);
+        let tf = TxnId(2);
+        vm.begin_update_on(tf, 1);
+        let at_checkpoint = vm.resolve_write(page(1), tf.token()).unwrap().phys;
+        vm.commit(tf);
+        // Checkpoint: the fork's version is in the persisted page table.
+        let snap = vm.create_snapshot();
+        vm.mark_persistent(snap.ts);
+        vm.release_snapshot(snap.ts);
+        assert!(vm.checkpoint_table().0.iter().any(|r| r.1 == at_checkpoint));
+        // The fork rewrites the page twice: the checkpointed slot must not
+        // be freed (recovery would read it as a delta's base), the one in
+        // between may.
+        let allocated = store.allocated();
+        for i in 3..5 {
+            let t = TxnId(i);
+            vm.begin_update_on(t, 1);
+            let phys = vm.resolve_write(page(1), t.token()).unwrap().phys;
+            assert_ne!(phys, at_checkpoint);
+            vm.commit(t);
+        }
+        assert_eq!(store.allocated(), allocated + 1);
+        assert!(vm.live_phys().contains(&at_checkpoint));
+        // The next checkpoint releases it.
+        let snap = vm.create_snapshot();
+        vm.mark_persistent(snap.ts);
+        vm.release_snapshot(snap.ts);
+        let t = TxnId(9);
+        vm.begin_update_on(t, 1);
+        vm.resolve_write(page(1), t.token()).unwrap();
+        vm.commit(t);
+        assert!(!vm.live_phys().contains(&at_checkpoint));
     }
 }

@@ -5,12 +5,13 @@
 //! copied. To solve the infamous 'split-block' problem, additional logging
 //! is used. Second, log is fixated and its files are copied."
 //!
-//! In this reproduction the "additional logging" is the full-page-image
-//! redo log itself: any page whose copy was torn by a concurrent write is
-//! rewritten during restore from its logged after-image, and the
-//! persistent snapshot's slots are never overwritten in place
+//! In this reproduction the split-block problem does not arise for the
+//! pages a restore starts from: the persistent snapshot's slots are never
+//! overwritten in place and never recycled before the next checkpoint
 //! (copy-on-write versioning), so the base state in the copied data file
-//! is always intact.
+//! is always intact. Versions written while the copy runs land in other
+//! slots, which the restored checkpoint does not name; restore rebuilds
+//! them from the base state and the redo log's images and deltas.
 //!
 //! "During incremental hot-backup, only log files and configuration files
 //! are copied [...]. Using incremental hot-backups, it is also possible to

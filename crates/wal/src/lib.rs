@@ -4,10 +4,12 @@
 //!
 //! * **Write-ahead logging** — "All the main operations (insert node,
 //!   create index, etc.) are logged using the WAL protocol." This
-//!   reproduction logs full page after-images at commit (physical redo),
-//!   which composes with the page-versioning design: rollback needs no
-//!   undo (working versions are simply discarded), and committed work is
-//!   replayable from the log alone.
+//!   reproduction logs physical redo at commit — per page, the byte ranges
+//!   the transaction changed ([`delta`]), or the full after-image when the
+//!   page has no committed base on its branch — which composes with the
+//!   page-versioning design: rollback needs no undo (working versions are
+//!   simply discarded), and committed work is replayable from the
+//!   persistent snapshot plus the log.
 //! * **Checkpoints** — "a checkpoint may be created at some moment during
 //!   execution to fixate transaction-consistent state of a database. We
 //!   call such a state a persistent snapshot." A [`WalRecord::Checkpoint`] record
@@ -30,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod backup;
+pub mod delta;
 pub mod record;
 pub mod recovery;
 pub mod writer;

@@ -105,6 +105,21 @@ pub enum WalRecord {
         /// The page bytes.
         image: Vec<u8>,
     },
+    /// The byte ranges of a page that `txn` changed, relative to the
+    /// committed version of the same page on the same branch that the
+    /// transaction's working copy was made from (see [`crate::delta`]).
+    /// Logged instead of a [`WalRecord::PageImage`] when such a base exists
+    /// and the ranges are small.
+    PageDelta {
+        /// Transaction id.
+        txn: u64,
+        /// Branch the write happened on.
+        branch: u32,
+        /// The SAS page.
+        page: XPtr,
+        /// `(offset in the page, new bytes)`, ascending and disjoint.
+        ranges: Vec<(u32, Vec<u8>)>,
+    },
     /// A page freed by `txn`.
     PageFree {
         /// Transaction id.
@@ -180,17 +195,62 @@ const T_CATALOG_PUT: u8 = 7;
 const T_CATALOG_DROP: u8 = 8;
 const T_FORK: u8 = 9;
 const T_DROP_FORK: u8 = 10;
+const T_PAGE_DELTA: u8 = 11;
 
-/// CRC-32 (IEEE 802.3 polynomial, bitwise implementation — log records
-/// are not hot enough to justify a table).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables: `CRC_TABLES[k][b]` is the CRC state after
+/// byte `b` followed by `k` zero bytes, so eight input bytes fold into the
+/// state with eight independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG/Ethernet checksum),
+/// table-driven, eight bytes per step.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -234,32 +294,78 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Encodes a [`WalRecord::PageImage`] body from borrowed page bytes.
+pub(crate) fn encode_page_image(
+    out: &mut Vec<u8>,
+    txn: u64,
+    branch: u32,
+    page: XPtr,
+    image: &[u8],
+) {
+    out.push(T_PAGE_IMAGE);
+    put_u64(out, txn);
+    put_u32(out, branch);
+    put_u64(out, page.raw());
+    put_bytes(out, image);
+}
+
+/// Encodes a [`WalRecord::PageDelta`] body from borrowed ranges.
+pub(crate) fn encode_page_delta<'a>(
+    out: &mut Vec<u8>,
+    txn: u64,
+    branch: u32,
+    page: XPtr,
+    ranges: impl ExactSizeIterator<Item = (u32, &'a [u8])>,
+) {
+    out.push(T_PAGE_DELTA);
+    put_u64(out, txn);
+    put_u32(out, branch);
+    put_u64(out, page.raw());
+    put_u32(out, ranges.len() as u32);
+    for (offset, bytes) in ranges {
+        put_u32(out, offset);
+        put_bytes(out, bytes);
+    }
+}
+
 impl WalRecord {
     /// Encodes the record body (without the length/CRC frame).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the record body (without the length/CRC frame) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Begin { txn } => {
                 out.push(T_BEGIN);
-                put_u64(&mut out, *txn);
+                put_u64(out, *txn);
             }
             WalRecord::PageImage {
                 txn,
                 branch,
                 page,
                 image,
-            } => {
-                out.push(T_PAGE_IMAGE);
-                put_u64(&mut out, *txn);
-                put_u32(&mut out, *branch);
-                put_u64(&mut out, page.raw());
-                put_bytes(&mut out, image);
-            }
+            } => encode_page_image(out, *txn, *branch, *page, image),
+            WalRecord::PageDelta {
+                txn,
+                branch,
+                page,
+                ranges,
+            } => encode_page_delta(
+                out,
+                *txn,
+                *branch,
+                *page,
+                ranges.iter().map(|(o, b)| (*o, b.as_slice())),
+            ),
             WalRecord::PageFree { txn, branch, page } => {
                 out.push(T_PAGE_FREE);
-                put_u64(&mut out, *txn);
-                put_u32(&mut out, *branch);
-                put_u64(&mut out, page.raw());
+                put_u64(out, *txn);
+                put_u32(out, *branch);
+                put_u64(out, page.raw());
             }
             WalRecord::CatalogPut {
                 txn,
@@ -268,56 +374,56 @@ impl WalRecord {
                 payload,
             } => {
                 out.push(T_CATALOG_PUT);
-                put_u64(&mut out, *txn);
-                put_u32(&mut out, *branch);
-                put_bytes(&mut out, key.as_bytes());
-                put_bytes(&mut out, payload);
+                put_u64(out, *txn);
+                put_u32(out, *branch);
+                put_bytes(out, key.as_bytes());
+                put_bytes(out, payload);
             }
             WalRecord::CatalogDrop { txn, branch, key } => {
                 out.push(T_CATALOG_DROP);
-                put_u64(&mut out, *txn);
-                put_u32(&mut out, *branch);
-                put_bytes(&mut out, key.as_bytes());
+                put_u64(out, *txn);
+                put_u32(out, *branch);
+                put_bytes(out, key.as_bytes());
             }
             WalRecord::Commit { txn, ts } => {
                 out.push(T_COMMIT);
-                put_u64(&mut out, *txn);
-                put_u64(&mut out, *ts);
+                put_u64(out, *txn);
+                put_u64(out, *ts);
             }
             WalRecord::Abort { txn } => {
                 out.push(T_ABORT);
-                put_u64(&mut out, *txn);
+                put_u64(out, *txn);
             }
             WalRecord::Checkpoint(cp) => {
                 out.push(T_CHECKPOINT);
-                put_u64(&mut out, cp.ts);
-                put_u32(&mut out, cp.page_table.len() as u32);
+                put_u64(out, cp.ts);
+                put_u32(out, cp.page_table.len() as u32);
                 for (page, phys, branch, ts) in &cp.page_table {
-                    put_u64(&mut out, page.raw());
-                    put_u64(&mut out, phys.0);
-                    put_u32(&mut out, *branch);
-                    put_u64(&mut out, *ts);
+                    put_u64(out, page.raw());
+                    put_u64(out, phys.0);
+                    put_u32(out, *branch);
+                    put_u64(out, *ts);
                 }
-                put_u32(&mut out, cp.drops.len() as u32);
+                put_u32(out, cp.drops.len() as u32);
                 for (page, branch, ts) in &cp.drops {
-                    put_u64(&mut out, page.raw());
-                    put_u32(&mut out, *branch);
-                    put_u64(&mut out, *ts);
+                    put_u64(out, page.raw());
+                    put_u32(out, *branch);
+                    put_u64(out, *ts);
                 }
-                put_u32(&mut out, cp.alloc.next_layer);
-                put_u32(&mut out, cp.alloc.next_addr);
-                put_u32(&mut out, cp.alloc.free.len() as u32);
+                put_u32(out, cp.alloc.next_layer);
+                put_u32(out, cp.alloc.next_addr);
+                put_u32(out, cp.alloc.free.len() as u32);
                 for p in &cp.alloc.free {
-                    put_u64(&mut out, p.raw());
+                    put_u64(out, p.raw());
                 }
-                put_bytes(&mut out, &cp.catalog);
-                put_u32(&mut out, cp.branches.len() as u32);
+                put_bytes(out, &cp.catalog);
+                put_u32(out, cp.branches.len() as u32);
                 for b in &cp.branches {
-                    put_u32(&mut out, b.branch);
-                    put_u32(&mut out, b.parent);
-                    put_u64(&mut out, b.fork_ts);
-                    put_bytes(&mut out, b.name.as_bytes());
-                    put_bytes(&mut out, &b.catalog);
+                    put_u32(out, b.branch);
+                    put_u32(out, b.parent);
+                    put_u64(out, b.fork_ts);
+                    put_bytes(out, b.name.as_bytes());
+                    put_bytes(out, &b.catalog);
                 }
             }
             WalRecord::Fork {
@@ -327,17 +433,16 @@ impl WalRecord {
                 name,
             } => {
                 out.push(T_FORK);
-                put_u32(&mut out, *branch);
-                put_u32(&mut out, *parent);
-                put_u64(&mut out, *ts);
-                put_bytes(&mut out, name.as_bytes());
+                put_u32(out, *branch);
+                put_u32(out, *parent);
+                put_u64(out, *ts);
+                put_bytes(out, name.as_bytes());
             }
             WalRecord::DropFork { branch } => {
                 out.push(T_DROP_FORK);
-                put_u32(&mut out, *branch);
+                put_u32(out, *branch);
             }
         }
-        out
     }
 
     /// Decodes a record body.
@@ -351,6 +456,23 @@ impl WalRecord {
                 page: XPtr::from_raw(c.u64()?),
                 image: c.bytes()?,
             },
+            T_PAGE_DELTA => {
+                let txn = c.u64()?;
+                let branch = c.u32()?;
+                let page = XPtr::from_raw(c.u64()?);
+                let n = c.u32()? as usize;
+                // Every range takes at least its 8-byte header.
+                let mut ranges = Vec::with_capacity(n.min(buf.len() / 8));
+                for _ in 0..n {
+                    ranges.push((c.u32()?, c.bytes()?));
+                }
+                WalRecord::PageDelta {
+                    txn,
+                    branch,
+                    page,
+                    ranges,
+                }
+            }
             T_PAGE_FREE => WalRecord::PageFree {
                 txn: c.u64()?,
                 branch: c.u32()?,
@@ -450,6 +572,39 @@ mod tests {
         );
     }
 
+    /// The bit-at-a-time definition the table-driven `crc32` replaced.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(32);
+        let data: Vec<u8> = (0..70_008).map(|_| rng.gen_range(0..=255u8)).collect();
+        // Every short length (all tail sizes, no-word and one-word inputs),
+        // then random lengths up to 70 000, each at all 8 alignments.
+        let lengths = (0..=64usize).chain((0..40).map(|_| rng.gen_range(65..=70_000)));
+        for len in lengths.chain([70_000]) {
+            for align in 0..8 {
+                let slice = &data[align..align + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bitwise(slice),
+                    "len {len} align {align}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn all_record_types_round_trip() {
         let records = vec![
@@ -459,6 +614,18 @@ mod tests {
                 branch: 0,
                 page: XPtr::new(2, 4096),
                 image: vec![1, 2, 3, 4, 5],
+            },
+            WalRecord::PageDelta {
+                txn: 7,
+                branch: 1,
+                page: XPtr::new(2, 4096),
+                ranges: vec![(0, vec![1, 2, 3]), (4000, vec![9; 96])],
+            },
+            WalRecord::PageDelta {
+                txn: 7,
+                branch: 0,
+                page: XPtr::new(2, 4096),
+                ranges: Vec::new(),
             },
             WalRecord::PageFree {
                 txn: 7,

@@ -26,6 +26,10 @@ use crate::writer::WalReader;
 pub enum PageOp {
     /// Write this full image.
     Image(Vec<u8>),
+    /// Overwrite these `(offset, bytes)` ranges onto the page's latest
+    /// committed image on the operation's branch lineage as of this point
+    /// of the replay, and write the result (see [`crate::delta`]).
+    Delta(Vec<(u32, Vec<u8>)>),
     /// Free the page.
     Free,
 }
@@ -83,87 +87,93 @@ pub struct RecoveryPlan {
     pub losers: Vec<u64>,
     /// The highest commit timestamp seen anywhere in the log.
     pub max_ts: u64,
+    /// End of the last intact record: where appending resumes
+    /// ([`crate::WalWriter::open`]).
+    pub end_lsn: u64,
 }
 
 /// Scans `log` and produces the two-step recovery plan. When `upto_ts` is
 /// set, only transactions with `commit_ts <= upto_ts` are redone —
 /// point-in-time recovery for incremental backups (§6.5).
+///
+/// One pass, one record in memory at a time: a checkpoint record discards
+/// everything gathered before it (redo starts after the last checkpoint),
+/// and each record's images move into the plan without being copied.
 pub fn plan_recovery(log: &Path, upto_ts: Option<u64>) -> WalResult<RecoveryPlan> {
-    let records = WalReader::read_all(log)?;
+    let mut reader = WalReader::open(log)?;
     let mut plan = RecoveryPlan::default();
+    let within_limit = |ts: u64| upto_ts.is_none_or(|limit| ts <= limit);
 
-    // Find the last checkpoint; redo starts after it.
-    let cp_idx = records
-        .iter()
-        .rposition(|(_, r)| matches!(r, WalRecord::Checkpoint(_)));
-    if let Some(idx) = cp_idx {
-        if let WalRecord::Checkpoint(cp) = &records[idx].1 {
-            plan.max_ts = cp.ts;
-            plan.checkpoint = Some(cp.clone());
-        }
-    }
-    let tail = &records[cp_idx.map_or(0, |i| i + 1)..];
-
-    // Group redo ops by transaction, keep log order within each.
+    // Redo ops by transaction, in log order within each.
     let mut pending: HashMap<u64, Vec<RedoOp>> = HashMap::new();
     let mut began: Vec<u64> = Vec::new();
-    // Commit timestamp most recently seen in the tail; used to place
-    // ts-less DropFork records for point-in-time limits.
-    let mut seen_ts = plan.max_ts;
-    for (_, rec) in tail {
+    // Commit timestamp most recently seen; used to place ts-less DropFork
+    // records for point-in-time limits.
+    let mut seen_ts = 0;
+    while let Some((_, rec)) = reader.next_record()? {
         match rec {
+            WalRecord::Checkpoint(cp) => {
+                pending.clear();
+                began.clear();
+                plan.redo.clear();
+                plan.branch_events.clear();
+                plan.max_ts = plan.max_ts.max(cp.ts);
+                seen_ts = plan.max_ts;
+                plan.checkpoint = Some(cp);
+            }
             WalRecord::Begin { txn } => {
-                began.push(*txn);
-                pending.entry(*txn).or_default();
+                began.push(txn);
+                pending.entry(txn).or_default();
             }
             WalRecord::PageImage {
                 txn,
                 branch,
                 page,
                 image,
-            } => {
-                pending.entry(*txn).or_default().push(RedoOp::Page(
-                    *page,
-                    *branch,
-                    PageOp::Image(image.clone()),
-                ));
-            }
-            WalRecord::PageFree { txn, branch, page } => {
-                pending
-                    .entry(*txn)
-                    .or_default()
-                    .push(RedoOp::Page(*page, *branch, PageOp::Free));
-            }
+            } => pending.entry(txn).or_default().push(RedoOp::Page(
+                page,
+                branch,
+                PageOp::Image(image),
+            )),
+            WalRecord::PageDelta {
+                txn,
+                branch,
+                page,
+                ranges,
+            } => pending.entry(txn).or_default().push(RedoOp::Page(
+                page,
+                branch,
+                PageOp::Delta(ranges),
+            )),
+            WalRecord::PageFree { txn, branch, page } => pending
+                .entry(txn)
+                .or_default()
+                .push(RedoOp::Page(page, branch, PageOp::Free)),
             WalRecord::CatalogPut {
                 txn,
                 branch,
                 key,
                 payload,
-            } => {
-                pending.entry(*txn).or_default().push(RedoOp::CatalogPut(
-                    *branch,
-                    key.clone(),
-                    payload.clone(),
-                ));
-            }
-            WalRecord::CatalogDrop { txn, branch, key } => {
-                pending
-                    .entry(*txn)
-                    .or_default()
-                    .push(RedoOp::CatalogDrop(*branch, key.clone()));
-            }
+            } => pending
+                .entry(txn)
+                .or_default()
+                .push(RedoOp::CatalogPut(branch, key, payload)),
+            WalRecord::CatalogDrop { txn, branch, key } => pending
+                .entry(txn)
+                .or_default()
+                .push(RedoOp::CatalogDrop(branch, key)),
             WalRecord::Commit { txn, ts } => {
-                plan.max_ts = plan.max_ts.max(*ts);
-                seen_ts = seen_ts.max(*ts);
-                let ops = pending.remove(txn).unwrap_or_default();
-                if upto_ts.is_none_or(|limit| *ts <= limit) {
-                    plan.redo.push((*txn, *ts, ops));
+                plan.max_ts = plan.max_ts.max(ts);
+                seen_ts = seen_ts.max(ts);
+                let ops = pending.remove(&txn).unwrap_or_default();
+                if within_limit(ts) {
+                    plan.redo.push((txn, ts, ops));
                 }
-                began.retain(|t| t != txn);
+                began.retain(|t| *t != txn);
             }
             WalRecord::Abort { txn } => {
-                pending.remove(txn);
-                began.retain(|t| t != txn);
+                pending.remove(&txn);
+                began.retain(|t| *t != txn);
             }
             WalRecord::Fork {
                 branch,
@@ -171,28 +181,28 @@ pub fn plan_recovery(log: &Path, upto_ts: Option<u64>) -> WalResult<RecoveryPlan
                 ts,
                 name,
             } => {
-                if upto_ts.is_none_or(|limit| *ts <= limit) {
+                if within_limit(ts) {
                     plan.branch_events.push((
                         plan.redo.len(),
                         BranchEvent::Fork {
-                            branch: *branch,
-                            parent: *parent,
-                            ts: *ts,
-                            name: name.clone(),
+                            branch,
+                            parent,
+                            ts,
+                            name,
                         },
                     ));
                 }
             }
             WalRecord::DropFork { branch } => {
-                if upto_ts.is_none_or(|limit| seen_ts <= limit) {
+                if within_limit(seen_ts) {
                     plan.branch_events
-                        .push((plan.redo.len(), BranchEvent::DropFork { branch: *branch }));
+                        .push((plan.redo.len(), BranchEvent::DropFork { branch }));
                 }
             }
-            WalRecord::Checkpoint(_) => unreachable!("tail starts after the last checkpoint"),
         }
     }
     plan.losers = began;
+    plan.end_lsn = reader.end_lsn();
     // Redo is already in commit order (log order of commit records).
     Ok(plan)
 }
@@ -434,6 +444,130 @@ mod tests {
             plan.branch_events[0].1,
             BranchEvent::Fork { branch: 2, .. }
         ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn delta_ops_keep_log_order_and_end_lsn_is_the_append_point() {
+        let path = tmpfile("plan7.log");
+        let ranges = vec![(16u32, vec![5u8; 8])];
+        let end = {
+            let mut w = WalWriter::create(&path).unwrap();
+            w.append(&WalRecord::Begin { txn: 1 }).unwrap();
+            w.append(&WalRecord::PageImage {
+                txn: 1,
+                branch: 0,
+                page: page(1),
+                image: vec![1; 64],
+            })
+            .unwrap();
+            w.append(&WalRecord::PageDelta {
+                txn: 1,
+                branch: 0,
+                page: page(1),
+                ranges: ranges.clone(),
+            })
+            .unwrap();
+            w.append(&WalRecord::Commit { txn: 1, ts: 3 }).unwrap();
+            w.flush().unwrap();
+            w.lsn()
+        };
+        // A torn tail after the last intact record is not part of the log.
+        {
+            use std::io::Write;
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
+            f.write_all(&[9, 0, 0, 0, 1]).unwrap();
+        }
+        let plan = plan_recovery(&path, None).unwrap();
+        assert_eq!(plan.end_lsn, end);
+        assert_eq!(
+            plan.redo[0].2,
+            vec![
+                RedoOp::Page(page(1), 0, PageOp::Image(vec![1; 64])),
+                RedoOp::Page(page(1), 0, PageOp::Delta(ranges)),
+            ]
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A log in the shape every earlier version of this crate wrote —
+    /// `Begin / PageImage / CatalogPut / Commit`, framed `len | crc | body`
+    /// — laid out here byte by byte, with the checksum computed bit by bit,
+    /// so that neither the encoder nor the table-driven CRC under test had
+    /// a hand in it.
+    #[test]
+    fn hand_written_image_only_log_still_plans() {
+        fn crc_bitwise(bytes: &[u8]) -> u32 {
+            let mut crc = !0u32;
+            for &b in bytes {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                }
+            }
+            !crc
+        }
+        fn frame(log: &mut Vec<u8>, body: &[u8]) {
+            log.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            log.extend_from_slice(&crc_bitwise(body).to_le_bytes());
+            log.extend_from_slice(body);
+        }
+        let txn = 7u64.to_le_bytes();
+        let branch = 0u32.to_le_bytes();
+        let image = [0xABu8; 32];
+        let mut log = Vec::new();
+        // Begin: tag 1, txn.
+        frame(&mut log, &[&[1u8][..], &txn].concat());
+        // PageImage: tag 2, txn, branch, page, len-prefixed image.
+        frame(
+            &mut log,
+            &[
+                &[2u8][..],
+                &txn,
+                &branch,
+                &page(3).raw().to_le_bytes(),
+                &(image.len() as u32).to_le_bytes(),
+                &image,
+            ]
+            .concat(),
+        );
+        // CatalogPut: tag 7, txn, branch, len-prefixed key and payload.
+        frame(
+            &mut log,
+            &[
+                &[7u8][..],
+                &txn,
+                &branch,
+                &7u32.to_le_bytes(),
+                b"doc:lib",
+                &2u32.to_le_bytes(),
+                &[4, 2],
+            ]
+            .concat(),
+        );
+        // Commit: tag 4, txn, ts.
+        frame(&mut log, &[&[4u8][..], &txn, &21u64.to_le_bytes()].concat());
+        let path = tmpfile("plan8.log");
+        std::fs::write(&path, &log).unwrap();
+
+        let plan = plan_recovery(&path, None).unwrap();
+        assert_eq!(plan.end_lsn, log.len() as u64);
+        assert_eq!(plan.max_ts, 21);
+        assert!(plan.losers.is_empty());
+        assert_eq!(
+            plan.redo,
+            vec![(
+                7,
+                21,
+                vec![
+                    RedoOp::Page(page(3), 0, PageOp::Image(image.to_vec())),
+                    RedoOp::CatalogPut(0, "doc:lib".into(), vec![4, 2]),
+                ]
+            )]
+        );
         std::fs::remove_file(&path).unwrap();
     }
 }
