@@ -100,9 +100,9 @@ impl SessionGate {
 /// change bumps (successful DDL, or an update-transaction rollback
 /// restoring catalog entries).
 ///
-/// Plan caches key entries by `(statement text, generation)`, so a bump
-/// lazily invalidates every cached plan — in the bumping session and
-/// every other — without a conservative cache clear. The
+/// The plan cache keys entries by `(statement text, generation)`, so a
+/// bump lazily invalidates every cached plan without a conservative
+/// cache clear. The
 /// `plan_cache_generation_*` loom model proves the protocol: once a
 /// bump is visible to a session, that session can never again be served
 /// a plan cached under the superseded generation.

@@ -19,9 +19,9 @@ pub struct DbConfig {
     /// of two ≥ the machine's cores); other values are rounded up to a
     /// power of two and clamped so every shard owns at least one frame.
     pub buffer_shards: usize,
-    /// Capacity of the per-session plan cache (parse+rewrite results keyed
-    /// by statement text and catalog generation, LRU-evicted). `0`
-    /// disables caching.
+    /// Capacity of the database-wide plan cache (parse+rewrite results
+    /// keyed by statement text, valid for one catalog generation and
+    /// statistics epoch, LRU-evicted). `0` disables caching.
     pub plan_cache_capacity: usize,
     /// Admission-controlled session limit enforced by
     /// [`Database::try_session`] (the entry point the network layer

@@ -217,10 +217,9 @@ pub(crate) struct DbInner {
     /// statistics they were estimated from are superseded. Deliberately
     /// separate from `catalog_generation` (shape vs volume).
     pub(crate) stats_epoch: StatsEpoch,
-    /// Database-wide shared plan cache (L2). Sessions consult their own
-    /// cache first (L1) and fall back here, so a statement compiled by
-    /// one connection is reused by every other until the catalog
-    /// generation moves. Sharded by statement-text hash so pipelined
+    /// The database-wide plan cache: a statement compiled by one
+    /// connection is reused by every other until the catalog generation
+    /// or statistics epoch moves. Sharded by statement-text hash so pipelined
     /// statements compiling on different workers don't serialize; each
     /// shard lock is held briefly around get/insert only — never across
     /// parse or execution. Per family member: a fork never shares

@@ -194,8 +194,9 @@ impl ActivityTracker {
 pub struct SlowQueryEntry {
     /// The statement text.
     pub statement: String,
-    /// Wall-clock pipeline total (parse + rewrite + execute; for
-    /// streamed queries, cursor open through finish) in nanoseconds.
+    /// Wall-clock nanoseconds from statement start to its close-out
+    /// (for a query handed back as a live cursor: until the cursor
+    /// finished).
     pub total_ns: u64,
     /// Id of the trace captured for this statement, retrievable through
     /// [`crate::Database::get_trace`] while it is still in the trace

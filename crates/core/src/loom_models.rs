@@ -17,7 +17,7 @@ use sedna_sync::atomic::{AtomicU64, Ordering};
 use sedna_sync::{model, thread, Arc};
 
 use crate::admission::{CatalogGeneration, SessionGate};
-use crate::plan_cache::PlanCache;
+use crate::plan_cache::{PlanCache, PlanKey};
 
 /// Three sessions race for a single admission slot: the CAS loop must
 /// never let `active` exceed the bound, and every admission must be
@@ -70,8 +70,12 @@ fn plan_cache_never_serves_a_stale_plan_after_a_bump() {
         // Stand-in for the catalog shape the DDL changes: 0 = old, 1 = new.
         let catalog_shape = Arc::new(AtomicU64::new(0));
         let stmt = sedna_xquery::parser::parse_statement("1").unwrap();
+        let key = |generation| PlanKey {
+            generation,
+            stats_epoch: 0,
+        };
         let mut cache = PlanCache::new(4);
-        cache.insert("1", generation.current(), stmt);
+        cache.insert("1", key(generation.current()), stmt);
         let ddl = {
             let generation = Arc::clone(&generation);
             let catalog_shape = Arc::clone(&catalog_shape);
@@ -84,7 +88,7 @@ fn plan_cache_never_serves_a_stale_plan_after_a_bump() {
         };
         for _ in 0..2 {
             let g = generation.current();
-            if cache.get("1", g).is_some() {
+            if cache.get("1", key(g)).is_some() {
                 // Snapshot semantics: a hit is legal only at the
                 // generation the plan was cached under.
                 assert_eq!(g, 0, "stale plan served at a bumped generation");
@@ -100,7 +104,7 @@ fn plan_cache_never_serves_a_stale_plan_after_a_bump() {
         ddl.join().unwrap();
         assert_eq!(generation.current(), 1);
         assert!(
-            cache.get("1", generation.current()).is_none(),
+            cache.get("1", key(generation.current())).is_none(),
             "the cached plan must key-miss after the bump"
         );
     });

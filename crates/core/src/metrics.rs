@@ -27,8 +27,6 @@ pub(crate) struct QueryMetrics {
     pub(crate) cache_hits: Counter,
     pub(crate) plan_cache_hits: Counter,
     pub(crate) plan_cache_misses: Counter,
-    pub(crate) plan_cache_shared_hits: Counter,
-    pub(crate) plan_cache_shared_misses: Counter,
     pub(crate) plan_cache_shared_lock_waits: Counter,
     pub(crate) plan_chosen_scan: Counter,
     pub(crate) plan_chosen_index: Counter,
@@ -44,7 +42,7 @@ impl QueryMetrics {
     pub(crate) fn register_into(&self, reg: &Registry) {
         reg.register_counter(
             "sedna_query_statements_total",
-            "Statements executed successfully",
+            "Statements executed (a query counts when its cursor closes)",
             &self.statements,
         );
         reg.register_histogram(
@@ -94,7 +92,7 @@ impl QueryMetrics {
         );
         reg.register_counter(
             "sedna_plan_cache_hits_total",
-            "Statements served from a session plan cache (parse/rewrite skipped)",
+            "Statements served from the plan cache (parse/rewrite skipped)",
             &self.plan_cache_hits,
         );
         reg.register_counter(
@@ -103,18 +101,8 @@ impl QueryMetrics {
             &self.plan_cache_misses,
         );
         reg.register_counter(
-            "sedna_plan_cache_shared_hits_total",
-            "Session-cache misses served from the database-wide shared plan cache",
-            &self.plan_cache_shared_hits,
-        );
-        reg.register_counter(
-            "sedna_plan_cache_shared_misses_total",
-            "Statements that missed both the session and the shared plan cache",
-            &self.plan_cache_shared_misses,
-        );
-        reg.register_counter(
             "sedna_plan_cache_shared_lock_waits_total",
-            "Shared plan-cache lookups that had to block on a contended shard lock",
+            "Plan-cache lookups that had to block on a contended shard lock",
             &self.plan_cache_shared_lock_waits,
         );
         reg.register_counter(
@@ -134,7 +122,7 @@ impl QueryMetrics {
         );
         reg.register_counter(
             "sedna_exec_items_pulled_total",
-            "Result items pulled through streaming query cursors",
+            "Result items pulled through query cursors",
             &self.items_pulled,
         );
         reg.register_gauge(
@@ -144,7 +132,7 @@ impl QueryMetrics {
         );
         reg.register_histogram(
             "sedna_exec_time_to_first_item_ns",
-            "Cursor-open to first-item latency of streaming queries (ns)",
+            "Cursor-open to first-item latency of queries (ns)",
             &self.ttfi_ns,
         );
         reg.register_counter(

@@ -1,23 +1,22 @@
-//! Session-level plan cache.
+//! The database-wide plan cache.
 //!
 //! The profiler (PR 1) shows every repeated statement paying the parse
 //! and static-analysis/rewrite phases again even though both are pure
 //! functions of (statement text, catalog). This module caches the
-//! *rewritten* [`Statement`] per statement text in a bounded LRU, so a
-//! session re-running the same query skips straight to the executor.
+//! *rewritten* [`Statement`] per statement text in a bounded, sharded
+//! LRU shared by every session of the database, so a statement compiled
+//! by one connection skips straight to the executor on all of them.
 //!
 //! Invalidation contract: every entry is stamped with a [`PlanKey`] —
 //! the **catalog generation** (bumped by every catalog-shape change:
-//! DDL, or an update-transaction rollback restoring catalog entries),
-//! the **statistics epoch** (bumped by bulk data changes: document
+//! DDL, or an update-transaction rollback restoring catalog entries)
+//! and the **statistics epoch** (bumped by bulk data changes: document
 //! load/drop, committed updates — so the cost-based planner re-costs
-//! plans whose access-path choice may have flipped), and whether the
-//! plan was costed for a **streaming** (cursor) client. A lookup whose
+//! plans whose access-path choice may have flipped). A lookup whose
 //! key no longer matches is a miss and evicts the stale entry. This
 //! replaces the earlier conservative clear-on-any-DDL: unrelated
-//! statements stay cached across catalog changes performed by *other*
-//! sessions too, because both counters are shared database state rather
-//! than per-session flags.
+//! statements stay cached across catalog changes, because both
+//! counters are shared database state.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
@@ -27,7 +26,7 @@ use sedna_obs::Counter;
 use sedna_xquery::ast::Statement;
 
 /// Validity stamp of a cached plan: the catalog/statistics state it was
-/// planned under, plus the client shape it was costed for.
+/// planned under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PlanKey {
     /// Catalog generation at plan time (catalog *shape*).
@@ -35,13 +34,10 @@ pub(crate) struct PlanKey {
     /// Statistics epoch at plan time (data *volume*; re-costs plans
     /// after bulk updates).
     pub(crate) stats_epoch: u64,
-    /// Whether the plan was costed for a streaming cursor client (the
-    /// planner prefers pipelines where `Plan::is_streaming()` holds).
-    pub(crate) streaming: bool,
 }
 
-/// A bounded LRU mapping statement text to its parse+rewrite result,
-/// validity-stamped with a [`PlanKey`].
+/// One shard of the plan cache: a bounded LRU mapping statement text to
+/// its parse+rewrite result, validity-stamped with a [`PlanKey`].
 ///
 /// Recency is tracked with a monotonic sequence number per entry;
 /// eviction scans for the minimum. Capacities are small (default 64),
@@ -73,8 +69,8 @@ impl PlanCache {
 
     /// Looks up the rewritten statement for `text` planned under `key`,
     /// refreshing recency. An entry cached under a different key
-    /// (superseded catalog generation or stats epoch, or the other
-    /// client shape) is stale: it is evicted and the lookup misses.
+    /// (superseded catalog generation or stats epoch) is stale: it is
+    /// evicted and the lookup misses.
     pub(crate) fn get(&mut self, text: &str, key: PlanKey) -> Option<Statement> {
         self.seq += 1;
         let seq = self.seq;
@@ -131,7 +127,7 @@ impl PlanCache {
 /// for a worker-pool's worth of concurrent lookups below 1-in-2.
 const SHARD_COUNT: usize = 8;
 
-/// The database-wide (L2) plan cache: [`PlanCache`] sharded by a hash
+/// The database-wide plan cache: [`PlanCache`] sharded by a hash
 /// of the statement text so pipelined statements arriving on different
 /// worker threads don't serialize on one mutex. Each shard is an
 /// independent LRU over its slice of the key space; the per-shard
@@ -208,7 +204,6 @@ mod tests {
         PlanKey {
             generation,
             stats_epoch: 0,
-            streaming: false,
         }
     }
 
@@ -240,7 +235,6 @@ mod tests {
         let k0 = PlanKey {
             generation: 1,
             stats_epoch: 7,
-            streaming: false,
         };
         c.insert("a", k0, stmt("1"));
         assert!(c.get("a", k0).is_some());
@@ -251,23 +245,6 @@ mod tests {
         };
         assert_eq!(c.get("a", k1), None);
         assert_eq!(c.len(), 0);
-    }
-
-    #[test]
-    fn streaming_and_materialized_plans_do_not_mix() {
-        let mut c = PlanCache::new(4);
-        let mat = PlanKey {
-            generation: 0,
-            stats_epoch: 0,
-            streaming: false,
-        };
-        let cur = PlanKey {
-            streaming: true,
-            ..mat
-        };
-        c.insert("a", mat, stmt("1"));
-        // A cursor client must not be served the materialized costing.
-        assert_eq!(c.get("a", cur), None);
     }
 
     #[test]

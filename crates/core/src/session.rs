@@ -21,7 +21,7 @@
 //! discarded (§6.1) and the in-memory catalog entries are restored from
 //! the transaction's undo copies.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -33,22 +33,20 @@ use sedna_schema::{NodeKind, SchemaTree};
 use sedna_storage::{build, indirection, NodeRef};
 use sedna_txn::{LockMode, TxnHandle};
 use sedna_wal::WalRecord;
-use sedna_xquery::ast::{DdlStmt, Expr, PathStart, Statement, StatementKind, Step};
-use sedna_xquery::cursor::Plan;
-use sedna_xquery::exec::{Database as QueryView, DocEntry, ExecStats, Executor, IndexEntry};
+use sedna_xquery::ast::{DdlStmt, Expr, PathStart, Statement, StatementKind, UpdateStmt};
+use sedna_xquery::exec::ExecStats;
 use sedna_xquery::planner::{self, AccessPath, IndexSpec, PlanDecision, PlannerInput};
 use sedna_xquery::update;
-use sedna_xquery::value::Item as QueryItem;
-use sedna_xquery::{cost, OpProfile};
+use sedna_xquery::value::Atom;
 
 use crate::cancel::CancelFlag;
 use crate::catalog::{self, Catalog, DocData, IndexData, IndexMeta};
 use crate::database::DbInner;
 use crate::error::{DbError, DbResult};
-use crate::introspect::{SessionTrack, SlowQueryEntry, TxnMode};
+use crate::introspect::{SessionTrack, TxnMode};
 use crate::metrics::QueryProfile;
-use crate::plan_cache::{PlanCache, PlanKey};
-use crate::stream::{CursorObs, QueryCursor};
+use crate::plan_cache::PlanKey;
+use crate::stream::{elapsed_ns, query_view, Pull, QueryCursor, RenderedItem, StatementObs};
 
 /// The result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,9 +77,9 @@ impl ExecOutcome {
 #[derive(Debug)]
 pub enum StreamOutcome {
     /// A query's result items, each independently serialized. Queries
-    /// take this (fully materialized) form only when they run inside an
-    /// explicit transaction, whose state lives on the session and cannot
-    /// migrate into a detached cursor.
+    /// take this (drained) form only when they run inside an explicit
+    /// transaction, whose state lives on the session and cannot migrate
+    /// into a detached cursor.
     Items(Vec<String>),
     /// A live streaming cursor over an auto-commit query: items are
     /// produced on demand, and the cursor's private read-only
@@ -93,14 +91,6 @@ pub enum StreamOutcome {
     Updated(usize),
     /// A DDL statement completed.
     Done,
-}
-
-/// One rendered result item. Atoms are space-separated when adjacent in
-/// the joined rendering; nodes concatenate directly (the serializer
-/// contract of `Executor::serialize_sequence`).
-struct RenderedItem {
-    atom: bool,
-    text: String,
 }
 
 /// Joins per-item renderings into the classic single-string result,
@@ -116,11 +106,6 @@ fn join_items(items: &[RenderedItem]) -> String {
         prev_atom = item.atom;
     }
     out
-}
-
-/// Nanoseconds elapsed since `started`, saturated to `u64`.
-fn elapsed_ns(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Adds the already-measured parse/rewrite phase spans under the root
@@ -149,8 +134,14 @@ fn record_phase_spans(tc: &mut Option<TraceCollector>, parse_ns: u64, rewrite_ns
     );
 }
 
+/// The catalog entries a query reads: documents and the indexes on them.
+type TxnView = (Vec<(String, DocData)>, Vec<(String, IndexData)>);
+
 /// Internal statement outcome carrying item granularity.
 enum InnerOutcome {
+    /// An auto-commit query: an open cursor nothing has been pulled from.
+    Cursor(Box<QueryCursor>),
+    /// A query inside a transaction, drained.
     Items(Vec<RenderedItem>),
     Updated(usize),
     Done,
@@ -189,15 +180,11 @@ pub struct Session {
     pub last_stats: ExecStats,
     /// Counters accumulated across every statement of this session.
     session_stats: ExecStats,
-    /// Profile of the last successfully executed statement. Shared with
-    /// streaming cursors this session opens: a cursor folds its finished
-    /// profile (executor counters + operator tree) back into this slot
-    /// when it is drained or dropped.
+    /// Profile of the last executed statement, written by the statement
+    /// close-out. Shared with the cursors this session opens: a cursor
+    /// writes its finished profile (executor counters + operator tree)
+    /// into this slot when it is drained or dropped.
     last_profile: Arc<Mutex<Option<QueryProfile>>>,
-    /// Parse+rewrite results keyed by (statement text, catalog
-    /// generation); entries cached under an older generation lazily
-    /// miss-and-evict after any catalog-shape change, in any session.
-    plan_cache: PlanCache,
     /// This session's row in the database's activity view.
     track: Arc<SessionTrack>,
     /// When true, query plans run with per-operator wall-clock timing
@@ -207,12 +194,10 @@ pub struct Session {
     /// regardless of the database's sampling policy (the wire protocol's
     /// per-request trace flag).
     trace_forced: bool,
-    /// Operator profile of the query most recently run by `run_query`,
-    /// picked up by `execute_planned` into the statement profile.
-    last_plan: Option<OpProfile>,
     /// Access-path decision of the statement most recently *compiled*
     /// by this session (plan-cache misses only: a cache hit reuses the
-    /// already-costed statement and leaves this untouched). `None` until
+    /// already-costed statement — whichever session compiled it — and
+    /// leaves this untouched). `None` until
     /// the session compiles a statement with the cost-based planner
     /// enabled.
     last_decision: Option<PlanDecision>,
@@ -222,7 +207,7 @@ pub struct Session {
     pinned: bool,
     /// Cancellation flag shared with whoever drives this session (the
     /// wire layer's per-connection flag). Checked at statement start and,
-    /// via [`CursorObs`], on every streaming-cursor pull.
+    /// via [`StatementObs`], on every cursor pull.
     cancel: CancelFlag,
 }
 
@@ -232,7 +217,6 @@ impl Session {
         // Parked sessions read this branch's latest committed state (the
         // root and every fork get their own latest-view encoding).
         vas.begin(db.latest_view(), None);
-        let plan_cache = PlanCache::new(db.cfg.plan_cache_capacity);
         let track = db.activity.register();
         Session {
             db,
@@ -241,11 +225,9 @@ impl Session {
             last_stats: ExecStats::default(),
             session_stats: ExecStats::default(),
             last_profile: Arc::new(Mutex::new(None)),
-            plan_cache,
             track,
             time_plans: false,
             trace_forced: false,
-            last_plan: None,
             last_decision: None,
             pinned: false,
             cancel: CancelFlag::new(),
@@ -314,11 +296,13 @@ impl Session {
     }
 
     /// The per-phase timing and executor-counter profile of the last
-    /// successfully executed statement (EXPLAIN-ANALYZE style); `None`
-    /// until a statement succeeds. Overwritten by each success; left
-    /// untouched by failures. A streamed query first reports only its
-    /// planning phases, then the cursor overwrites the profile with the
-    /// full picture (counters + operator tree) when it finishes.
+    /// executed statement (EXPLAIN-ANALYZE style); `None` until a
+    /// statement succeeds. Overwritten by each success; left untouched
+    /// by statements that fail before they execute and by failed
+    /// updates. A query handed back as a live cursor first reports only
+    /// its planning phases, then the cursor overwrites the profile with
+    /// the full picture (counters + operator tree) when it finishes —
+    /// drained, dropped, or stopped by a failed pull.
     pub fn last_profile(&self) -> Option<QueryProfile> {
         self.last_profile.lock().clone()
     }
@@ -335,11 +319,6 @@ impl Session {
     /// [`Session::reset_session_stats`]).
     pub fn session_stats(&self) -> ExecStats {
         self.session_stats
-    }
-
-    /// Number of plans currently held by this session's plan cache.
-    pub fn plan_cache_len(&self) -> usize {
-        self.plan_cache.len()
     }
 
     /// The cost-based planner's decision for the statement this session
@@ -616,9 +595,15 @@ impl Session {
 
     /// Executes one statement (query, update, or DDL). Outside an explicit
     /// transaction, the statement runs in its own auto-committed
-    /// transaction (read-only for queries, updating otherwise).
+    /// transaction (read-only for queries, updating otherwise). A query
+    /// is a cursor opened and drained on the spot.
     pub fn execute(&mut self, text: &str) -> DbResult<ExecOutcome> {
-        Ok(match self.execute_inner(text)? {
+        Ok(match self.run_statement(text)? {
+            InnerOutcome::Cursor(mut cursor) => {
+                let items = cursor.drain()?;
+                self.note_query_stats(cursor.stats());
+                ExecOutcome::Results(join_items(&items))
+            }
             InnerOutcome::Items(items) => ExecOutcome::Results(join_items(&items)),
             InnerOutcome::Updated(n) => ExecOutcome::Updated(n),
             InnerOutcome::Done => ExecOutcome::Done,
@@ -631,64 +616,17 @@ impl Session {
     /// [`StreamOutcome::Cursor`]: nothing has executed yet, the first
     /// pull produces the first item without scanning the rest, and the
     /// cursor's private read-only transaction (and its page pins) are
-    /// released when it is drained or dropped. Queries inside an
-    /// explicit transaction, updates, and DDL keep the materialized
-    /// forms. For a streamed query, [`Session::last_profile`] reports
-    /// only the planning phases (execute runs in the cursor) and
-    /// [`Session::last_stats`] stays zeroed — the cursor folds its
-    /// counters into the database-wide metrics when it finishes.
+    /// released when it is drained or dropped. A query inside an
+    /// explicit transaction runs through the same cursor pipeline over
+    /// the session's transaction and comes back drained, as
+    /// [`StreamOutcome::Items`]. For a live cursor,
+    /// [`Session::last_profile`] reports only the planning phases until
+    /// the cursor finishes and [`Session::last_stats`] stays zeroed —
+    /// the cursor folds its counters into the database-wide metrics when
+    /// it finishes.
     pub fn execute_stream(&mut self, text: &str) -> DbResult<StreamOutcome> {
-        self.track.set_statement(text);
-        let result = self.execute_stream_observed(text);
-        // A live cursor keeps the statement visible in the activity view
-        // until it finishes (the cursor clears it); every other outcome
-        // is done now.
-        if !matches!(result, Ok(StreamOutcome::Cursor(_))) {
-            self.track.clear_statement();
-        }
-        result
-    }
-
-    fn execute_stream_observed(&mut self, text: &str) -> DbResult<StreamOutcome> {
-        if self.cancel.is_cancelled() {
-            return Err(DbError::Cancelled);
-        }
-        let started = Instant::now();
-        let mut tc = self.start_trace(text);
-        // Outside an explicit transaction a query executes through a
-        // streaming cursor, so cost the plan for a cursor client.
-        let (stmt, parse_ns, rewrite_ns) = self.plan_statement(text, self.txn.is_none())?;
-        record_phase_spans(&mut tc, parse_ns, rewrite_ns);
-        if self.txn.is_none() && matches!(stmt.kind, StatementKind::Query(_)) {
-            let q = self.db.obs.query.clone();
-            let cursor = QueryCursor::open(
-                Arc::clone(&self.db),
-                stmt,
-                CursorObs {
-                    text: text.to_string(),
-                    parse_ns,
-                    rewrite_ns,
-                    timed: self.time_plans,
-                    trace: tc,
-                    forced: self.trace_forced,
-                    track: Arc::clone(&self.track),
-                    profile_slot: Arc::clone(&self.last_profile),
-                    cancel: self.cancel.clone(),
-                },
-            )?;
-            q.statements.inc();
-            self.last_stats = ExecStats::default();
-            *self.last_profile.lock() = Some(QueryProfile {
-                parse_ns,
-                rewrite_ns,
-                execute_ns: 0,
-                stats: ExecStats::default(),
-                plan: None,
-            });
-            return Ok(StreamOutcome::Cursor(Box::new(cursor)));
-        }
-        let result = self.run_planned_observed(text, stmt, parse_ns, rewrite_ns, started, tc)?;
-        Ok(match result {
+        Ok(match self.run_statement(text)? {
+            InnerOutcome::Cursor(cursor) => StreamOutcome::Cursor(cursor),
             InnerOutcome::Items(items) => {
                 StreamOutcome::Items(items.into_iter().map(|i| i.text).collect())
             }
@@ -697,37 +635,120 @@ impl Session {
         })
     }
 
-    /// Parse + analyse + rewrite + cost-based plan with the two-level
-    /// plan cache: this session's own cache (L1), then the database-wide
-    /// shared cache (L2), then the real pipeline. An L2 hit is promoted
-    /// into L1; a full miss populates both, so a statement compiled by
-    /// one connection is reused by every other until its [`PlanKey`]
-    /// (catalog generation, statistics epoch, client shape) moves.
-    /// `streaming` says whether the statement may execute through a
-    /// cursor — the planner penalizes index access for cursor clients,
-    /// so the two shapes cache separately. Cached plans report zero
+    /// Convenience: executes a query and returns the serialized results.
+    pub fn query(&mut self, text: &str) -> DbResult<String> {
+        Ok(self.execute(text)?.into_string())
+    }
+
+    /// Executes the statement with per-operator wall-clock timing
+    /// enabled and returns the rendered report: phase timings, executor
+    /// counters, and (for queries) the operator tree with per-operator
+    /// pulls, items, and self-time. The statement really runs — updates
+    /// apply, exactly like PostgreSQL's `EXPLAIN ANALYZE`.
+    pub fn explain_analyze(&mut self, text: &str) -> DbResult<String> {
+        let prev = self.time_plans;
+        self.time_plans = true;
+        let result = self.execute(text);
+        self.time_plans = prev;
+        result?;
+        Ok(self
+            .last_profile
+            .lock()
+            .as_ref()
+            .map(QueryProfile::render)
+            .unwrap_or_default())
+    }
+
+    /// Runs one statement up to the point its outcome exists: an
+    /// auto-commit query is an open cursor nothing has been pulled from,
+    /// a query inside a transaction has been drained, an update or DDL
+    /// statement has applied.
+    fn run_statement(&mut self, text: &str) -> DbResult<InnerOutcome> {
+        self.track.set_statement(text);
+        let result = self.run_statement_observed(text);
+        // A live cursor keeps the statement visible in the activity view
+        // until it finishes (its close-out clears it); every other
+        // outcome is done now.
+        if !matches!(result, Ok(InnerOutcome::Cursor(_))) {
+            self.track.clear_statement();
+        }
+        result
+    }
+
+    fn run_statement_observed(&mut self, text: &str) -> DbResult<InnerOutcome> {
+        if self.cancel.is_cancelled() {
+            return Err(DbError::Cancelled);
+        }
+        let started = Instant::now();
+        let mut trace = self.start_trace(text);
+        let (stmt, parse_ns, rewrite_ns) = self.plan_statement(text)?;
+        record_phase_spans(&mut trace, parse_ns, rewrite_ns);
+        let obs = StatementObs {
+            text: text.to_string(),
+            started,
+            parse_ns,
+            rewrite_ns,
+            timed: self.time_plans,
+            trace,
+            forced: self.trace_forced,
+            track: Arc::clone(&self.track),
+            profile_slot: Arc::clone(&self.last_profile),
+            cancel: self.cancel.clone(),
+        };
+        if !matches!(stmt.kind, StatementKind::Query(_)) {
+            return self.run_update_statement(stmt, obs);
+        }
+        if self.txn.is_none() {
+            // Auto-commit: the cursor owns a read-only transaction of
+            // its own and outlives this call.
+            let cursor = QueryCursor::open(Arc::clone(&self.db), stmt, obs)?;
+            self.last_stats = ExecStats::default();
+            *self.last_profile.lock() = Some(QueryProfile {
+                parse_ns,
+                rewrite_ns,
+                execute_ns: 0,
+                stats: ExecStats::default(),
+                plan: None,
+            });
+            return Ok(InnerOutcome::Cursor(Box::new(cursor)));
+        }
+        // Inside a transaction: the same engine over the session's
+        // storage session and the transaction's view of the catalog. The
+        // transaction's state lives on the session and cannot migrate
+        // into a detached cursor, so the engine is drained here; whether
+        // the query succeeds or fails, the transaction stays open.
+        let (docs, indexes) = self.txn_view(&stmt)?;
+        let mut pull = Pull::open(&self.db, stmt, obs, docs, indexes, None)?;
+        let items = pull.drain(&self.db, &self.vas)?;
+        self.note_query_stats(pull.stats());
+        Ok(InnerOutcome::Items(items))
+    }
+
+    /// Records a drained query's executor counters as the session's
+    /// last-statement and accumulated statistics.
+    fn note_query_stats(&mut self, stats: ExecStats) {
+        self.last_stats = stats;
+        self.session_stats.merge(&stats);
+    }
+
+    /// Parse + analyse + rewrite + cost-based plan, behind the
+    /// database-wide plan cache: a statement compiled by one connection
+    /// is reused by every other until its [`PlanKey`] (catalog
+    /// generation, statistics epoch) moves. Cached plans report zero
     /// parse/rewrite nanoseconds.
-    fn plan_statement(&mut self, text: &str, streaming: bool) -> DbResult<(Statement, u64, u64)> {
-        let q = self.db.obs.query.clone();
+    fn plan_statement(&mut self, text: &str) -> DbResult<(Statement, u64, u64)> {
         let key = PlanKey {
             generation: self.db.catalog_generation.current(),
             stats_epoch: self.db.stats_epoch.current(),
-            streaming,
         };
-        if let Some(stmt) = self.plan_cache.get(text, key) {
-            q.plan_cache_hits.inc();
+        if let Some(stmt) = self.db.shared_plans.get(text, key) {
+            self.db.obs.query.plan_cache_hits.inc();
             return Ok((stmt, 0, 0));
         }
-        let shared = self.db.shared_plans.get(text, key);
-        if let Some(stmt) = shared {
-            q.plan_cache_shared_hits.inc();
-            self.plan_cache.insert(text, key, stmt.clone());
-            return Ok((stmt, 0, 0));
-        }
-        // Missed both levels: run the front half of the paper's pipeline,
-        // timed per phase. Handles are clones sharing the database-wide
+        // Missed: run the front half of the paper's pipeline, timed per
+        // phase. Handles are clones sharing the database-wide
         // histograms, so the spans record even on error.
-        q.plan_cache_shared_misses.inc();
+        let q = self.db.obs.query.clone();
         q.plan_cache_misses.inc();
         let parse_span = q.parse_ns.span();
         let stmt = sedna_xquery::parser::parse_statement(text)?;
@@ -736,10 +757,9 @@ impl Session {
         let stmt = sedna_xquery::static_ctx::analyze(stmt)?;
         let mut stmt = sedna_xquery::rewrite::rewrite_statement(stmt);
         if self.db.cfg.cost_based_planner {
-            self.cost_plan(&mut stmt, streaming);
+            self.cost_plan(&mut stmt);
         }
         let rewrite_ns = rewrite_span.finish();
-        self.plan_cache.insert(text, key, stmt.clone());
         self.db.shared_plans.insert(text, key, stmt.clone());
         Ok((stmt, parse_ns, rewrite_ns))
     }
@@ -752,7 +772,7 @@ impl Session {
     /// by selectivity, then records the access-path choice in the
     /// `sedna_plan_chosen_*` counters and
     /// [`Session::last_plan_decision`].
-    fn cost_plan(&mut self, stmt: &mut Statement, streaming: bool) {
+    fn cost_plan(&mut self, stmt: &mut Statement) {
         let decision = {
             let catalog = self.db.catalog.read();
             let names = collect_doc_names(stmt);
@@ -772,12 +792,7 @@ impl Session {
                     key_type: i.meta.key_type,
                 })
                 .collect();
-            let input = PlannerInput {
-                docs,
-                indexes,
-                streaming,
-            };
-            planner::plan_statement(stmt, &input)
+            planner::plan_statement(stmt, &PlannerInput { docs, indexes })
         };
         let q = &self.db.obs.query;
         match decision.access_path {
@@ -786,62 +801,6 @@ impl Session {
             AccessPath::Descendant => q.plan_chosen_descendant.inc(),
         }
         self.last_decision = Some(decision);
-    }
-
-    fn execute_inner(&mut self, text: &str) -> DbResult<InnerOutcome> {
-        self.track.set_statement(text);
-        let result = self.execute_observed(text);
-        self.track.clear_statement();
-        result
-    }
-
-    /// Runs one materialized statement inside the observability
-    /// envelope: optional trace collection, the execute-phase span, and
-    /// slow-query detection.
-    fn execute_observed(&mut self, text: &str) -> DbResult<InnerOutcome> {
-        let started = Instant::now();
-        let mut tc = self.start_trace(text);
-        let (stmt, parse_ns, rewrite_ns) = self.plan_statement(text, false)?;
-        record_phase_spans(&mut tc, parse_ns, rewrite_ns);
-        self.run_planned_observed(text, stmt, parse_ns, rewrite_ns, started, tc)
-    }
-
-    /// Executes an already-planned statement, then closes out the trace
-    /// and slow-log bookkeeping on success. Shared by the materialized
-    /// and the non-cursor streaming paths.
-    fn run_planned_observed(
-        &mut self,
-        text: &str,
-        stmt: Statement,
-        parse_ns: u64,
-        rewrite_ns: u64,
-        started: Instant,
-        mut tc: Option<TraceCollector>,
-    ) -> DbResult<InnerOutcome> {
-        let prev_timing = self.time_plans;
-        self.time_plans = prev_timing || tc.is_some();
-        let result = self.execute_planned(stmt, parse_ns, rewrite_ns);
-        self.time_plans = prev_timing;
-        if result.is_ok() {
-            if let Some(t) = &mut tc {
-                let execute_ns = self
-                    .last_profile
-                    .lock()
-                    .as_ref()
-                    .map(|p| p.execute_ns)
-                    .unwrap_or(0);
-                let now = t.now_ns();
-                t.add_complete(
-                    events::QUERY_EXECUTE,
-                    1,
-                    now.saturating_sub(execute_ns),
-                    now,
-                    String::new(),
-                );
-            }
-            self.observe_finish(text, elapsed_ns(started), tc);
-        }
-        result
     }
 
     /// Opens a trace for this statement when the database's sampling
@@ -858,56 +817,34 @@ impl Session {
         Some(tc)
     }
 
-    /// Closes the root span, publishes the trace when the policy keeps
-    /// it, and records the statement in the slow-query ring when it
-    /// crossed the configured threshold.
-    fn observe_finish(&mut self, text: &str, total_ns: u64, tc: Option<TraceCollector>) {
-        let q = &self.db.obs.query;
-        let threshold_ns = self.db.cfg.slow_query_ms.saturating_mul(1_000_000);
-        let slow = threshold_ns > 0 && total_ns >= threshold_ns;
-        let mut trace_id = 0;
-        if let Some(mut t) = tc {
-            if self.trace_forced || self.db.cfg.trace_sample.keep(slow) {
-                t.end(1);
-                trace_id = t.trace_id();
-                self.db.traces.publish(trace_id, t.into_events());
-                q.traces_published.inc();
-                self.track.set_last_trace(trace_id);
-            }
-        }
-        if slow {
-            q.slow_queries.inc();
-            self.db.slow_log.push(SlowQueryEntry {
-                statement: text.to_string(),
-                total_ns,
-                trace_id,
-            });
-        }
-    }
-
-    fn execute_planned(
+    /// Runs an update or DDL statement in the session's update
+    /// transaction — its own auto-committed one outside an explicit
+    /// transaction — and closes the statement out when it succeeded.
+    fn run_update_statement(
         &mut self,
         stmt: Statement,
-        parse_ns: u64,
-        rewrite_ns: u64,
+        mut obs: StatementObs,
     ) -> DbResult<InnerOutcome> {
-        let q = self.db.obs.query.clone();
-        let needs_update = !matches!(stmt.kind, StatementKind::Query(_));
         let implicit = self.txn.is_none();
         if implicit {
-            if needs_update {
-                self.begin_update()?;
-            } else {
-                self.begin_read_only()?;
-            }
-        } else if needs_update && !self.in_update_txn() {
+            self.begin_update()?;
+        } else if !self.in_update_txn() {
             return Err(DbError::Conflict(
                 "updates are not allowed in a read-only transaction".into(),
             ));
         }
-        let execute_span = q.execute_ns.span();
-        let result = self.execute_in_txn(&stmt);
-        let execute_ns = execute_span.finish();
+        let execute_started = Instant::now();
+        let result = match &stmt.kind {
+            StatementKind::Update(_) => self.run_update(&stmt).map(InnerOutcome::Updated),
+            StatementKind::Ddl(ddl) => self.run_ddl(ddl.clone()).map(|()| {
+                self.last_stats = ExecStats::default();
+                InnerOutcome::Done
+            }),
+            StatementKind::Query(_) => {
+                Err(DbError::Conflict("queries execute through a cursor".into()))
+            }
+        };
+        let execute_ns = elapsed_ns(execute_started);
         if implicit {
             match &result {
                 Ok(_) => self.commit()?,
@@ -918,8 +855,8 @@ impl Session {
         }
         if result.is_ok() && matches!(stmt.kind, StatementKind::Ddl(_)) {
             // Catalog shape changed: bump the generation so every cached
-            // plan — this session's and other sessions' — key-misses
-            // lazily instead of requiring a conservative cache clear.
+            // plan key-misses lazily instead of requiring a conservative
+            // cache clear.
             self.db.catalog_generation.bump();
         }
         if matches!(&result, Ok(InnerOutcome::Updated(n)) if *n > 0) {
@@ -930,93 +867,36 @@ impl Session {
             self.db.stats_epoch.bump();
         }
         if result.is_ok() {
-            q.statements.inc();
-            q.record_exec_stats(&self.last_stats);
             self.session_stats.merge(&self.last_stats);
-            *self.last_profile.lock() = Some(QueryProfile {
-                parse_ns,
-                rewrite_ns,
-                execute_ns,
-                stats: self.last_stats,
-                plan: self.last_plan.take(),
-            });
+            obs.close(&self.db, execute_ns, self.last_stats, None);
         }
         result
-    }
-
-    /// Convenience: executes a query and returns the serialized results.
-    pub fn query(&mut self, text: &str) -> DbResult<String> {
-        Ok(self.execute(text)?.into_string())
-    }
-
-    /// Executes the statement with per-operator wall-clock timing
-    /// enabled and returns the rendered report: phase timings, executor
-    /// counters, and (for queries) the operator tree with per-operator
-    /// pulls, items, and self-time. The statement really runs — updates
-    /// apply, exactly like PostgreSQL's `EXPLAIN ANALYZE`.
-    pub fn explain_analyze(&mut self, text: &str) -> DbResult<String> {
-        let prev = self.time_plans;
-        self.time_plans = true;
-        let result = self.execute_stream(text);
-        self.time_plans = prev;
-        if let StreamOutcome::Cursor(mut cursor) = result? {
-            // Auto-commit queries profile the real streaming pipeline:
-            // drain the cursor, which folds the full profile (counters +
-            // operator tree) back into this session's slot.
-            while cursor.next_item()?.is_some() {}
-        }
-        Ok(self
-            .last_profile
-            .lock()
-            .as_ref()
-            .map(QueryProfile::render)
-            .unwrap_or_default())
-    }
-
-    fn execute_in_txn(&mut self, stmt: &Statement) -> DbResult<InnerOutcome> {
-        self.last_plan = None;
-        match &stmt.kind {
-            StatementKind::Query(_) => {
-                let items = self.run_query(stmt)?;
-                Ok(InnerOutcome::Items(items))
-            }
-            StatementKind::Update(_) => {
-                let n = self.run_update(stmt)?;
-                Ok(InnerOutcome::Updated(n))
-            }
-            StatementKind::Ddl(ddl) => {
-                self.run_ddl(ddl.clone())?;
-                self.last_stats = ExecStats::default();
-                Ok(InnerOutcome::Done)
-            }
-        }
     }
 
     // --------------------------------------------------------------
     // Queries
     // --------------------------------------------------------------
 
-    fn run_query(&mut self, stmt: &Statement) -> DbResult<Vec<RenderedItem>> {
-        // Assemble the view the executor reads: the transaction's catalog
-        // snapshot (read-only) or S-locked clones (updater).
-        let view_docs: Vec<(String, DocData)>;
-        let view_indexes: Vec<(String, IndexData)>;
+    /// The catalog entries a query inside the open transaction reads:
+    /// the transaction's catalog snapshot (read-only), or clones of the
+    /// referenced documents taken under S locks (updater) — the entries
+    /// the updater itself has modified, so it sees its own writes.
+    fn txn_view(&self, stmt: &Statement) -> DbResult<TxnView> {
         match &self.txn {
-            Some(TxnState::ReadOnly { snapshot, .. }) => {
-                view_docs = snapshot
+            Some(TxnState::ReadOnly { snapshot, .. }) => Ok((
+                snapshot
                     .docs
                     .iter()
                     .map(|(n, d)| (n.clone(), d.clone()))
-                    .collect();
-                view_indexes = snapshot
+                    .collect(),
+                snapshot
                     .indexes
                     .iter()
                     .map(|(n, d)| (n.clone(), d.clone()))
-                    .collect();
-            }
+                    .collect(),
+            )),
             Some(TxnState::Update { handle, .. }) => {
                 let mut names = collect_doc_names(stmt);
-                let handle = handle.clone();
                 // Resolve ids under a short catalog guard, then acquire
                 // locks with NO catalog guard held (a committing writer
                 // needs catalog.write() while holding its X lock — holding
@@ -1048,85 +928,16 @@ impl Session {
                 for name in &names {
                     docs.push((name.clone(), catalog.doc(name)?.clone()));
                 }
-                view_indexes = catalog
+                let indexes = catalog
                     .indexes
                     .iter()
                     .filter(|(_, i)| names.contains(&i.meta.doc))
                     .map(|(n, d)| (n.clone(), d.clone()))
                     .collect();
-                view_docs = docs;
+                Ok((docs, indexes))
             }
-            None => return Err(DbError::Conflict("no active transaction".into())),
+            None => Err(DbError::Conflict("no active transaction".into())),
         }
-        let view = QueryView {
-            vas: &self.vas,
-            docs: view_docs
-                .iter()
-                .map(|(name, d)| DocEntry {
-                    name: name.clone(),
-                    schema: &d.schema,
-                    doc: &d.storage,
-                })
-                .collect(),
-            indexes: view_indexes
-                .iter()
-                .map(|(name, i)| IndexEntry {
-                    name: name.clone(),
-                    doc: view_docs
-                        .iter()
-                        .position(|(n, _)| *n == i.meta.doc)
-                        .unwrap_or(usize::MAX),
-                    index: &i.tree,
-                })
-                .collect(),
-        };
-        let mut ex = Executor::new(&view, stmt, self.db.cfg.construct_mode);
-        ex.bind_globals()?;
-        let StatementKind::Query(body) = &stmt.kind else {
-            return Err(DbError::Conflict(
-                "run_query requires a query statement".into(),
-            ));
-        };
-        // Drive the pull pipeline to completion instead of Executor::run:
-        // results are identical (unsupported forms compile to a
-        // materializing fallback over the same evaluator), and every
-        // statement produces the per-operator pull/item counts surfaced
-        // by EXPLAIN ANALYZE. Per-operator wall time is opt-in.
-        let mut plan = Plan::compile(body);
-        if self.db.cfg.cost_based_planner {
-            // Stamp per-operator cardinality estimates from the schema
-            // statistics, so EXPLAIN ANALYZE renders `est=N act=M`.
-            plan.annotate_estimates(&|doc: &str, steps: &[Step]| {
-                let entry = view.docs.iter().find(|d| d.name == doc)?;
-                cost::estimate_path_cardinality(entry.schema, steps)
-            });
-        }
-        if self.time_plans {
-            plan.enable_timing();
-        }
-        let mut result = Vec::new();
-        while let Some(item) = plan.next(&mut ex)? {
-            result.push(item);
-        }
-        self.last_plan = Some(plan.profile());
-        // Serialize item-at-a-time (the streaming surface); `execute`
-        // joins these back into the classic single string.
-        let mut items = Vec::with_capacity(result.len());
-        for item in &result {
-            match item {
-                QueryItem::Atom(a) => items.push(RenderedItem {
-                    atom: true,
-                    text: a.to_string_value(),
-                }),
-                QueryItem::Node(n) => {
-                    let mut text = String::new();
-                    ex.serialize_node(*n, &mut text)?;
-                    items.push(RenderedItem { atom: false, text });
-                }
-            }
-        }
-        self.last_stats = ex.stats;
-        Ok(items)
     }
 
     // --------------------------------------------------------------
@@ -1135,9 +946,8 @@ impl Session {
 
     fn run_update(&mut self, stmt: &Statement) -> DbResult<usize> {
         let names = collect_doc_names(stmt);
-        // Phase 1 (plan): against S-locked view; the target doc is then
-        // X-locked for phase 2.
-        let (doc_idx_names, plan_doc_name, plan) = {
+        // Phase 1 (plan): against the X-locked documents' current state.
+        let (plan_doc_name, plan) = {
             let handle = self.current_update_handle()?;
             // Ids under a short guard; lock waits without the guard.
             let ids: Vec<u64> = {
@@ -1161,28 +971,11 @@ impl Session {
             for name in &names {
                 docs.push((name.clone(), catalog.doc(name)?.clone()));
             }
-            let view = QueryView {
-                vas: &self.vas,
-                docs: docs
-                    .iter()
-                    .map(|(name, d)| DocEntry {
-                        name: name.clone(),
-                        schema: &d.schema,
-                        doc: &d.storage,
-                    })
-                    .collect(),
-                indexes: Vec::new(),
-            };
+            let view = query_view(&self.vas, &docs, &[]);
             let (doc_idx, plan, plan_stats) = update::plan_update_with_stats(stmt, &view)?;
             self.last_stats = plan_stats;
-            let plan_doc = docs[doc_idx].0.clone();
-            (
-                docs.into_iter().map(|(n, _)| n).collect::<Vec<_>>(),
-                plan_doc,
-                plan,
-            )
+            (docs[doc_idx].0.clone(), plan)
         };
-        let _ = doc_idx_names;
 
         // X lock + undo copy for the target document.
         let handle = self.current_update_handle()?;
@@ -1705,244 +1498,68 @@ enum TouchKind {
 /// Index names statically referenced via `index-scan`/`index-scan-between`
 /// literals (their covering documents must enter the S2PL view too).
 fn collect_index_names(stmt: &Statement) -> Vec<String> {
-    let mut names = HashSet::new();
-    fn walk(e: &Expr, names: &mut HashSet<String>) {
+    let mut names = BTreeSet::new();
+    visit_statement(stmt, &mut |e| {
         if let Expr::FnCall { name, args, .. } = e {
-            if (name == "index-scan" || name == "index-scan-between") && !args.is_empty() {
-                if let Expr::Literal(sedna_xquery::value::Atom::String(n)) = &args[0] {
+            if name == "index-scan" || name == "index-scan-between" {
+                if let Some(Expr::Literal(Atom::String(n))) = args.first() {
                     names.insert(n.clone());
                 }
             }
         }
-        visit_expr_children(e, &mut |c| walk(c, names));
-    }
-    visit_statement(stmt, &mut |e| walk(e, &mut names));
-    let mut out: Vec<String> = names.into_iter().collect();
-    out.sort();
-    out
+    });
+    names.into_iter().collect()
 }
 
-/// Calls `f` on every top-level expression of the statement.
-fn visit_statement(stmt: &Statement, f: &mut impl FnMut(&Expr)) {
+/// Calls `f` on every expression of the statement, subexpressions
+/// included (the walk itself is [`Expr::visit`]).
+fn visit_statement<'a>(stmt: &'a Statement, f: &mut impl FnMut(&'a Expr)) {
     for v in &stmt.vars {
-        f(&v.init);
+        v.init.visit(f);
     }
     for func in &stmt.functions {
-        f(&func.body);
+        func.body.visit(f);
     }
     match &stmt.kind {
-        StatementKind::Query(e) => f(e),
+        StatementKind::Query(e) => e.visit(f),
         StatementKind::Update(u) => match u {
-            sedna_xquery::ast::UpdateStmt::Insert { what, target, .. } => {
-                f(what);
-                f(target);
+            UpdateStmt::Insert { what, target, .. } => {
+                what.visit(f);
+                target.visit(f);
             }
-            sedna_xquery::ast::UpdateStmt::Delete { target } => f(target),
-            sedna_xquery::ast::UpdateStmt::ReplaceValue { target, with } => {
-                f(target);
-                f(with);
+            UpdateStmt::Delete { target } => target.visit(f),
+            UpdateStmt::ReplaceValue { target, with } => {
+                target.visit(f);
+                with.visit(f);
             }
         },
         StatementKind::Ddl(_) => {}
     }
 }
 
-/// Calls `f` on each direct child expression of `e`.
-fn visit_expr_children(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    match e {
-        Expr::Sequence(items) => items.iter().for_each(&mut *f),
-        Expr::Flwor {
-            clauses,
-            where_,
-            order,
-            ret,
-        } => {
-            for c in clauses {
-                match c {
-                    sedna_xquery::ast::FlworClause::For { expr, .. }
-                    | sedna_xquery::ast::FlworClause::Let { expr, .. } => f(expr),
-                }
-            }
-            if let Some(w) = where_ {
-                f(w);
-            }
-            for o in order {
-                f(&o.key);
-            }
-            f(ret);
+/// Document names statically referenced by a statement (`doc('name')`
+/// path starts and literal `doc()` calls), sorted.
+pub(crate) fn collect_doc_names(stmt: &Statement) -> Vec<String> {
+    let mut names = BTreeSet::new();
+    visit_statement(stmt, &mut |e| match e {
+        Expr::Path {
+            start: PathStart::Doc(d),
+            ..
         }
-        Expr::Quantified {
-            within, satisfies, ..
-        } => {
-            f(within);
-            f(satisfies);
+        | Expr::StructuralPath { doc: d, .. } => {
+            names.insert(d.clone());
         }
-        Expr::If { cond, then, els } => {
-            f(cond);
-            f(then);
-            f(els);
-        }
-        Expr::Or(a, b)
-        | Expr::And(a, b)
-        | Expr::GeneralCmp(_, a, b)
-        | Expr::ValueCmp(_, a, b)
-        | Expr::Arith(_, a, b)
-        | Expr::Range(a, b)
-        | Expr::Union(a, b)
-        | Expr::Intersect(a, b)
-        | Expr::Except(a, b) => {
-            f(a);
-            f(b);
-        }
-        Expr::Neg(a) | Expr::Ddo(a) | Expr::TextCtor(a) => f(a),
-        Expr::Cached { expr, .. } => f(expr),
-        Expr::Path { start, steps } => {
-            if let PathStart::Expr(inner) = start {
-                f(inner);
+        Expr::FnCall { name, args, .. } if name == "doc" || name == "document" => {
+            if let Some(Expr::Literal(Atom::String(d))) = args.first() {
+                names.insert(d.clone());
             }
-            for st in steps {
-                st.predicates.iter().for_each(&mut *f);
-            }
-        }
-        Expr::Filter { input, predicates } => {
-            f(input);
-            predicates.iter().for_each(&mut *f);
-        }
-        Expr::FnCall { args, .. } => args.iter().for_each(&mut *f),
-        Expr::ElementCtor {
-            attrs, children, ..
-        } => {
-            for (_, parts) in attrs {
-                parts.iter().for_each(&mut *f);
-            }
-            children.iter().for_each(&mut *f);
         }
         _ => {}
+    });
+    if let StatementKind::Ddl(DdlStmt::CreateIndex { doc, .. }) = &stmt.kind {
+        names.insert(doc.clone());
     }
-}
-
-/// Document names statically referenced by a statement (`doc('name')`
-/// path starts and literal `doc()` calls).
-pub(crate) fn collect_doc_names(stmt: &Statement) -> Vec<String> {
-    let mut names = HashSet::new();
-    fn walk(e: &Expr, names: &mut HashSet<String>) {
-        match e {
-            Expr::Path { start, steps } => {
-                if let PathStart::Doc(d) = start {
-                    names.insert(d.clone());
-                }
-                if let PathStart::Expr(inner) = start {
-                    walk(inner, names);
-                }
-                for s in steps {
-                    for p in &s.predicates {
-                        walk(p, names);
-                    }
-                }
-            }
-            Expr::StructuralPath { doc, .. } => {
-                names.insert(doc.clone());
-            }
-            Expr::FnCall { name, args, .. } => {
-                if name == "doc" || name == "document" {
-                    if let Some(Expr::Literal(sedna_xquery::value::Atom::String(d))) = args.first()
-                    {
-                        names.insert(d.clone());
-                    }
-                }
-                for a in args {
-                    walk(a, names);
-                }
-            }
-            Expr::Sequence(items) => items.iter().for_each(|i| walk(i, names)),
-            Expr::Flwor {
-                clauses,
-                where_,
-                order,
-                ret,
-            } => {
-                for c in clauses {
-                    match c {
-                        sedna_xquery::ast::FlworClause::For { expr, .. }
-                        | sedna_xquery::ast::FlworClause::Let { expr, .. } => walk(expr, names),
-                    }
-                }
-                if let Some(w) = where_ {
-                    walk(w, names);
-                }
-                for o in order {
-                    walk(&o.key, names);
-                }
-                walk(ret, names);
-            }
-            Expr::Quantified {
-                within, satisfies, ..
-            } => {
-                walk(within, names);
-                walk(satisfies, names);
-            }
-            Expr::If { cond, then, els } => {
-                walk(cond, names);
-                walk(then, names);
-                walk(els, names);
-            }
-            Expr::Or(a, b)
-            | Expr::And(a, b)
-            | Expr::GeneralCmp(_, a, b)
-            | Expr::ValueCmp(_, a, b)
-            | Expr::Arith(_, a, b)
-            | Expr::Range(a, b)
-            | Expr::Union(a, b)
-            | Expr::Intersect(a, b)
-            | Expr::Except(a, b) => {
-                walk(a, names);
-                walk(b, names);
-            }
-            Expr::Neg(a) | Expr::Ddo(a) | Expr::TextCtor(a) => walk(a, names),
-            Expr::Cached { expr, .. } => walk(expr, names),
-            Expr::Filter { input, predicates } => {
-                walk(input, names);
-                predicates.iter().for_each(|p| walk(p, names));
-            }
-            Expr::ElementCtor {
-                attrs, children, ..
-            } => {
-                for (_, parts) in attrs {
-                    parts.iter().for_each(|p| walk(p, names));
-                }
-                children.iter().for_each(|c| walk(c, names));
-            }
-            _ => {}
-        }
-    }
-    for v in &stmt.vars {
-        walk(&v.init, &mut names);
-    }
-    for f in &stmt.functions {
-        walk(&f.body, &mut names);
-    }
-    match &stmt.kind {
-        StatementKind::Query(e) => walk(e, &mut names),
-        StatementKind::Update(u) => match u {
-            sedna_xquery::ast::UpdateStmt::Insert { what, target, .. } => {
-                walk(what, &mut names);
-                walk(target, &mut names);
-            }
-            sedna_xquery::ast::UpdateStmt::Delete { target } => walk(target, &mut names),
-            sedna_xquery::ast::UpdateStmt::ReplaceValue { target, with } => {
-                walk(target, &mut names);
-                walk(with, &mut names);
-            }
-        },
-        StatementKind::Ddl(d) => {
-            if let DdlStmt::CreateIndex { doc, .. } = d {
-                names.insert(doc.clone());
-            }
-        }
-    }
-    let mut out: Vec<String> = names.into_iter().collect();
-    out.sort();
-    out
+    names.into_iter().collect()
 }
 
 /// Scans one schema node's block list into node refs.

@@ -315,7 +315,7 @@ fn plan_cache_is_isolated_per_branch() {
     assert_eq!(
         fork.shared_plan_count(),
         0,
-        "a fresh fork must not see the parent's L2 plan entries"
+        "a fresh fork must not see the parent's plan entries"
     );
 
     // Diverge the fork, then plan the same statement there: it lands in

@@ -121,7 +121,7 @@ fn plan_cache_skips_parse_and_invalidates_on_ddl() {
     let snap = db.metrics_snapshot();
     assert!(snap.counter("sedna_plan_cache_hits_total") >= 2);
     assert!(snap.counter("sedna_plan_cache_misses_total") >= 2);
-    assert!(s.plan_cache_len() > 0);
+    assert!(db.shared_plan_count() > 0);
 
     // DDL bumps the catalog generation: entries stay resident but are
     // stale, so the next run of the same text is a miss (full re-parse)
@@ -134,7 +134,7 @@ fn plan_cache_skips_parse_and_invalidates_on_ddl() {
         "DDL must advance the catalog generation"
     );
     assert!(
-        s.plan_cache_len() > 0,
+        db.shared_plan_count() > 0,
         "stale entries stay resident until looked up"
     );
     s.query("doc('inv')//sku/text()").unwrap();
@@ -166,7 +166,7 @@ fn plan_cache_skips_parse_and_invalidates_on_ddl() {
     );
     drop(other);
 
-    // A session with caching disabled never hits.
+    // A database with caching disabled never hits.
     let cfg = DbConfig {
         plan_cache_capacity: 0,
         ..DbConfig::small()
@@ -180,7 +180,7 @@ fn plan_cache_skips_parse_and_invalidates_on_ddl() {
     s2.query("doc('d')//sku").unwrap();
     let snap2 = db2.metrics_snapshot();
     assert_eq!(snap2.counter("sedna_plan_cache_hits_total"), 0);
-    assert_eq!(s2.plan_cache_len(), 0);
+    assert_eq!(db2.shared_plan_count(), 0);
 
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&dir2).unwrap();

@@ -269,3 +269,49 @@ fn explain_analyze_renders_the_streamed_operator_tree() {
     drop(s);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn every_query_records_its_execute_phase_once() {
+    let dir = tmpdir("execute-ns");
+    let db = seeded(&dir, DbConfig::small());
+    let mut s = db.session();
+    let count = || {
+        db.metrics_snapshot()
+            .histogram("sedna_query_execute_ns")
+            .map_or(0, |h| h.count)
+    };
+    let query = "doc('lib')//title/text()";
+
+    // Whichever entry point runs the query, it is closed out once.
+    let before = count();
+    s.query(query).unwrap();
+    assert_eq!(count(), before + 1, "after query()");
+
+    let StreamOutcome::Cursor(mut cur) = s.execute_stream(query).unwrap() else {
+        panic!("auto-commit query must stream");
+    };
+    assert_eq!(count(), before + 1, "an open cursor has not executed yet");
+    while cur.next_item().unwrap().is_some() {}
+    assert_eq!(count(), before + 2, "after a drained cursor");
+    drop(cur);
+    assert_eq!(
+        count(),
+        before + 2,
+        "dropping a finished cursor adds nothing"
+    );
+
+    let StreamOutcome::Cursor(mut cur) = s.execute_stream(query).unwrap() else {
+        panic!("auto-commit query must stream");
+    };
+    assert!(cur.next_item().unwrap().is_some());
+    drop(cur);
+    assert_eq!(count(), before + 3, "after a cursor dropped mid-stream");
+
+    s.begin_read_only().unwrap();
+    s.execute_stream(query).unwrap();
+    s.commit().unwrap();
+    assert_eq!(count(), before + 4, "after a query inside a transaction");
+
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -8,8 +8,10 @@
 //!   small constant, independent of result cardinality;
 //! * dropping a cursor mid-stream releases its pins and read-only
 //!   transaction immediately;
-//! * streamed items agree with the materialized execution path;
-//! * the database-wide shared plan cache serves a statement compiled by
+//! * every way of running a query — `query`, a drained auto-commit
+//!   cursor, inside a read-only transaction, inside an update
+//!   transaction after an uncommitted insert — returns the same items;
+//! * the database-wide plan cache serves a statement compiled by
 //!   another session.
 
 use std::path::PathBuf;
@@ -209,10 +211,8 @@ fn shared_plan_cache_serves_statements_across_sessions() {
     );
     assert!(db.shared_plan_count() >= 1);
 
-    // A brand-new session has a cold L1 but hits the shared L2 cache.
-    let shared_hits_before = db
-        .metrics_snapshot()
-        .counter("sedna_plan_cache_shared_hits_total");
+    // A brand-new session hits the plan the first one compiled.
+    let hits_before = db.metrics_snapshot().counter("sedna_plan_cache_hits_total");
     let mut s2 = db.session();
     let out = s2.query(query).unwrap();
     assert_eq!(out, "4");
@@ -222,15 +222,11 @@ fn shared_plan_cache_serves_statements_across_sessions() {
         "second session must reuse the shared plan without parsing"
     );
     assert_eq!(
-        db.metrics_snapshot()
-            .counter("sedna_plan_cache_shared_hits_total"),
-        shared_hits_before + 1
+        db.metrics_snapshot().counter("sedna_plan_cache_hits_total"),
+        hits_before + 1
     );
-    // Promoted into s2's L1: the next run is a session-cache hit.
-    s2.query(query).unwrap();
-    assert_eq!(s2.last_profile().unwrap().parse_ns, 0);
 
-    // DDL bumps the generation: both levels go stale together.
+    // DDL bumps the generation: the plan goes stale for every session.
     s1.execute("CREATE DOCUMENT 'other'").unwrap();
     s2.query(query).unwrap();
     assert!(
@@ -240,6 +236,142 @@ fn shared_plan_cache_serves_statements_across_sessions() {
 
     drop(s1);
     drop(s2);
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The query corpus of the differential test: the statements of
+/// `streamed_items_match_the_materialized_path`, one FLWOR with a
+/// constructor and one `index-scan`, each with whether its items are
+/// atoms (joined with a space) or nodes (concatenated).
+const CORPUS: [(&str, bool); 7] = [
+    ("doc('big')//v/text()", false),
+    ("doc('big')/r/v[2]", false),
+    (
+        "for $v in doc('big')/r/v where $v/text() = '7' return $v",
+        false,
+    ),
+    ("1 to 5", true),
+    ("count(doc('big')//v)", true),
+    (
+        "for $i in doc('keyed')/r/item where $i/k = 'v7' return <hit n=\"{$i/n/text()}\">{$i/k/text()}</hit>",
+        false,
+    ),
+    ("index-scan('byk', 'v7')/n/text()", false),
+];
+
+/// What one way of running a query returned.
+#[derive(Debug, PartialEq)]
+struct Answer {
+    items: Vec<String>,
+    nodes_scanned: u64,
+}
+
+/// `execute_stream`, drained if it hands back a cursor.
+fn stream(s: &mut sedna::Session, query: &str) -> Answer {
+    match s.execute_stream(query).unwrap() {
+        StreamOutcome::Cursor(mut cur) => {
+            let items = cur.by_ref().map(|r| r.unwrap()).collect();
+            Answer {
+                items,
+                nodes_scanned: cur.stats().nodes_scanned,
+            }
+        }
+        StreamOutcome::Items(items) => Answer {
+            items,
+            nodes_scanned: s.last_stats.nodes_scanned,
+        },
+        other => panic!("{query:?} is a query, got {other:?}"),
+    }
+}
+
+/// `query`, which must agree with `expected` item for item under the
+/// atom-spacing rule and scan the same nodes.
+fn assert_query_agrees(s: &mut sedna::Session, query: &str, atoms: bool, expected: &Answer) {
+    let joined = s.query(query).unwrap();
+    let sep = if atoms { " " } else { "" };
+    assert_eq!(joined, expected.items.join(sep), "joined form of {query:?}");
+    assert_eq!(
+        s.last_stats.nodes_scanned, expected.nodes_scanned,
+        "nodes scanned by {query:?}"
+    );
+}
+
+#[test]
+fn every_way_of_running_a_query_returns_the_same_answer() {
+    let (db, dir) = setup("differential");
+    let mut s = db.session();
+    s.execute("CREATE DOCUMENT 'keyed'").unwrap();
+    let mut xml = String::from("<r>");
+    for i in 0..50 {
+        xml.push_str(&format!("<item><k>v{i}</k><n>{i}</n></item>"));
+    }
+    xml.push_str("</r>");
+    s.load_xml("keyed", &xml).unwrap();
+    s.execute("CREATE INDEX 'byk' ON doc('keyed')/r/item BY k AS xs:string")
+        .unwrap();
+
+    // Over the committed state: a drained auto-commit cursor, the same
+    // statement inside a read-only transaction, and `query` both ways.
+    for (query, atoms) in CORPUS {
+        let cursor = stream(&mut s, query);
+        assert!(!cursor.items.is_empty(), "{query:?} must return something");
+        assert_query_agrees(&mut s, query, atoms, &cursor);
+        s.begin_read_only().unwrap();
+        assert_eq!(stream(&mut s, query), cursor, "read-only txn, {query:?}");
+        assert_query_agrees(&mut s, query, atoms, &cursor);
+        s.commit().unwrap();
+    }
+
+    // Inside an update transaction the query sees the transaction's own
+    // uncommitted inserts — and returns exactly what every session sees
+    // once they are committed.
+    s.begin_update().unwrap();
+    s.execute("UPDATE insert <v>7</v> into doc('big')/r")
+        .unwrap();
+    s.execute("UPDATE insert <item><k>v7</k><n>50</n></item> into doc('keyed')/r")
+        .unwrap();
+    let mut in_txn = Vec::new();
+    for (query, atoms) in CORPUS {
+        let answer = stream(&mut s, query);
+        assert_query_agrees(&mut s, query, atoms, &answer);
+        in_txn.push(answer);
+    }
+    assert_eq!(in_txn[4].items, [(N + 1).to_string()], "own insert visible");
+    assert_eq!(in_txn[6].items, ["7", "50"], "own index entry visible");
+    s.commit().unwrap();
+    for ((query, atoms), expected) in CORPUS.into_iter().zip(&in_txn) {
+        assert_eq!(&stream(&mut s, query), expected, "after commit, {query:?}");
+        assert_query_agrees(&mut s, query, atoms, expected);
+    }
+
+    drop(s);
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_failing_query_leaves_its_update_transaction_open() {
+    let (db, dir) = setup("txn-open");
+    let mut s = db.session();
+    s.begin_update().unwrap();
+    s.execute("UPDATE insert <v>extra</v> into doc('big')/r")
+        .unwrap();
+
+    // One query that fails when its cursor opens and one that fails on
+    // a pull: neither may commit or roll back the session's transaction.
+    assert!(s.query("doc('missing')//v").is_err());
+    assert!(s.execute_stream("doc('big')/r/v/text() + 1").is_err());
+    assert_eq!(
+        s.query("count(doc('big')//v)").unwrap(),
+        (N + 1).to_string(),
+        "the transaction and its insert must survive a failed query"
+    );
+
+    s.rollback().unwrap();
+    assert_eq!(s.query("count(doc('big')//v)").unwrap(), N.to_string());
+
+    drop(s);
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }

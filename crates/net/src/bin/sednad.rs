@@ -71,7 +71,6 @@ OPTIONS:
                           new connections are rejected with `overloaded`
                           (default: 4096)
     --auth <USER:PASS>    Require these credentials at StartSession
-                          (protocol v2; v1 clients are turned away)
     --max-sessions <N>    Per-database session limit, 0 = unlimited (default: 0)
     --slow-query-ms <N>   Slow-query threshold in ms; offenders land in the
                           slow-query log with their trace. 0 = off (default: 0)

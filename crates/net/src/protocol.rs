@@ -21,13 +21,11 @@
 
 use std::io::{self, Read, Write};
 
-/// Protocol revision carried in [`Request::StartSession`]. Version 2
-/// adds request pipelining, [`Request::Cancel`], and credentials on
-/// [`Request::StartSession`] / [`Request::AsOf`]. The server still
-/// accepts version-1 clients (whose session-open bodies simply omit the
-/// credential fields) unless it is configured to require authentication;
-/// versions above [`PROTOCOL_VERSION`] are refused with a `protocol`
-/// error.
+/// Protocol revision carried in [`Request::StartSession`] /
+/// [`Request::AsOf`]: request pipelining, [`Request::Cancel`], and
+/// credentials on session open. The server speaks exactly this
+/// revision; a session open announcing any other is refused with a
+/// `protocol` error naming it.
 pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Default cap on a single frame (length field), applied by both ends.
@@ -35,9 +33,8 @@ pub const DEFAULT_MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// Message codes, one byte at the head of every frame.
 pub mod codes {
-    /// Open a session: `version: u8`, `database: str`, then (version 2)
-    /// `user: str`, `password: str`. Version-1 bodies end after the
-    /// database name.
+    /// Open a session: `version: u8`, `database: str`, `user: str`,
+    /// `password: str`.
     pub const START_SESSION: u8 = 0x01;
     /// Close the session gracefully (empty body).
     pub const CLOSE_SESSION: u8 = 0x02;
@@ -83,7 +80,7 @@ pub mod codes {
     pub const DROP_DATABASE: u8 = 0x13;
     /// Open an `AS OF` time-travel session pinned to the newest retained
     /// snapshot at or before `ts`: `version: u8`, `database: str`,
-    /// `ts: u64`, then (version 2) `user: str`, `password: str`.
+    /// `ts: u64`, `user: str`, `password: str`.
     /// Answered with [`SESSION_STARTED`], like [`START_SESSION`].
     pub const AS_OF: u8 = 0x14;
     /// Abort the running (or queued) statement out-of-band: the server
@@ -91,7 +88,7 @@ pub mod codes {
     /// statement fails with a `cancelled` error at its next pull or
     /// statement boundary. Answered in request order with [`CANCELLED`]
     /// once the abort has taken effect and any open cursor is dropped.
-    /// Empty body. Protocol version 2.
+    /// Empty body.
     pub const CANCEL: u8 = 0x15;
 
     /// Session opened.
@@ -144,7 +141,6 @@ pub mod codes {
     pub const DATABASE_DROPPED: u8 = 0x94;
     /// A [`CANCEL`] took effect: the statement (if any) was aborted,
     /// its cursor dropped, and the session is ready for more work.
-    /// Protocol version 2.
     pub const CANCELLED: u8 = 0x95;
     /// Structured error envelope: `kind: str`, `message: str`.
     pub const ERROR: u8 = 0xEE;
@@ -154,14 +150,13 @@ pub mod codes {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Open a session on `database`, announcing the client's protocol
-    /// `version` and (version 2) its credentials.
+    /// `version` and its credentials.
     StartSession {
         /// Client protocol revision ([`PROTOCOL_VERSION`]).
         version: u8,
         /// Name of the database registered at the governor.
         database: String,
-        /// User name (empty on version-1 frames and unauthenticated
-        /// version-2 clients).
+        /// User name (empty for unauthenticated clients).
         user: String,
         /// Password (empty like `user`).
         password: String,
@@ -183,8 +178,7 @@ pub enum Request {
         stmt: String,
         /// Force a trace of this statement to be captured and
         /// published, regardless of the server's sampling policy.
-        /// Encoded as an optional trailing byte, so `false` is
-        /// wire-compatible with version-1 peers that omit it.
+        /// Encoded as an optional trailing byte, omitted when `false`.
         trace: bool,
     },
     /// Pull the next buffered result item.
@@ -252,8 +246,7 @@ pub enum Request {
         database: String,
         /// The time-travel target commit timestamp.
         ts: u64,
-        /// User name (empty on version-1 frames and unauthenticated
-        /// version-2 clients).
+        /// User name (empty for unauthenticated clients).
         user: String,
         /// Password (empty like `user`).
         password: String,
@@ -406,18 +399,13 @@ impl Request {
             } => {
                 b.push(*version);
                 put_str(&mut b, database);
-                // Credentials exist from version 2 on; a version-1 frame
-                // must stay byte-identical to what version-1 peers emit.
-                if *version >= 2 {
-                    put_str(&mut b, user);
-                    put_str(&mut b, password);
-                }
+                put_str(&mut b, user);
+                put_str(&mut b, password);
             }
             Request::Begin { read_only } => b.push(u8::from(*read_only)),
             Request::Execute { stmt, trace } => {
                 put_str(&mut b, stmt);
-                // The flag is a trailing optional byte: omitted when off,
-                // so untraced frames match the version-1 encoding.
+                // The flag is a trailing optional byte: omitted when off.
                 if *trace {
                     b.push(1);
                 }
@@ -444,10 +432,8 @@ impl Request {
                 b.push(*version);
                 put_str(&mut b, database);
                 b.extend_from_slice(&ts.to_be_bytes());
-                if *version >= 2 {
-                    put_str(&mut b, user);
-                    put_str(&mut b, password);
-                }
+                put_str(&mut b, user);
+                put_str(&mut b, password);
             }
             Request::CloseSession
             | Request::Commit
@@ -467,22 +453,12 @@ impl Request {
     pub fn decode(code: u8, body: &[u8]) -> io::Result<Request> {
         let mut c = Cursor::new(body);
         let req = match code {
-            codes::START_SESSION => {
-                let version = c.take_u8()?;
-                let database = c.take_str()?;
-                // Version-1 bodies end here; version-2 carries creds.
-                let (user, password) = if c.remaining() > 0 {
-                    (c.take_str()?, c.take_str()?)
-                } else {
-                    (String::new(), String::new())
-                };
-                Request::StartSession {
-                    version,
-                    database,
-                    user,
-                    password,
-                }
-            }
+            codes::START_SESSION => Request::StartSession {
+                version: c.take_u8()?,
+                database: c.take_str()?,
+                user: c.take_str()?,
+                password: c.take_str()?,
+            },
             codes::CLOSE_SESSION => Request::CloseSession,
             codes::BEGIN => Request::Begin {
                 read_only: c.take_u8()? != 0,
@@ -525,23 +501,13 @@ impl Request {
             codes::DROP_DATABASE => Request::DropDatabase {
                 name: c.take_str()?,
             },
-            codes::AS_OF => {
-                let version = c.take_u8()?;
-                let database = c.take_str()?;
-                let ts = c.take_u64()?;
-                let (user, password) = if c.remaining() > 0 {
-                    (c.take_str()?, c.take_str()?)
-                } else {
-                    (String::new(), String::new())
-                };
-                Request::AsOf {
-                    version,
-                    database,
-                    ts,
-                    user,
-                    password,
-                }
-            }
+            codes::AS_OF => Request::AsOf {
+                version: c.take_u8()?,
+                database: c.take_str()?,
+                ts: c.take_u64()?,
+                user: c.take_str()?,
+                password: c.take_str()?,
+            },
             codes::CANCEL => Request::Cancel,
             other => return Err(bad(format!("unknown request code {other:#04x}"))),
         };
@@ -904,12 +870,6 @@ mod tests {
             user: String::new(),
             password: String::new(),
         });
-        roundtrip_request(Request::StartSession {
-            version: 1,
-            database: "db".into(),
-            user: String::new(),
-            password: String::new(),
-        });
         roundtrip_request(Request::CloseSession);
         roundtrip_request(Request::Begin { read_only: true });
         roundtrip_request(Request::Begin { read_only: false });
@@ -954,45 +914,11 @@ mod tests {
             user: "admin".into(),
             password: "s3cret".into(),
         });
-        roundtrip_request(Request::AsOf {
-            version: 1,
-            database: "db".into(),
-            ts: 41,
-            user: String::new(),
-            password: String::new(),
-        });
         roundtrip_request(Request::Cancel);
     }
 
     #[test]
-    fn version_1_session_open_has_no_credential_bytes() {
-        // A version-1 peer encodes `version, database` and nothing else;
-        // both directions must keep that byte layout.
-        let body = Request::StartSession {
-            version: 1,
-            database: "db".into(),
-            user: String::new(),
-            password: String::new(),
-        }
-        .encode_body();
-        let mut expected = vec![1u8];
-        put_str(&mut expected, "db");
-        assert_eq!(body, expected);
-        // And a bare version-1 body decodes with empty credentials.
-        let req = Request::decode(codes::START_SESSION, &expected).unwrap();
-        assert_eq!(
-            req,
-            Request::StartSession {
-                version: 1,
-                database: "db".into(),
-                user: String::new(),
-                password: String::new(),
-            }
-        );
-    }
-
-    #[test]
-    fn version_2_session_open_carries_credentials() {
+    fn session_open_carries_credentials() {
         let body = Request::StartSession {
             version: 2,
             database: "db".into(),
@@ -1008,27 +934,9 @@ mod tests {
     }
 
     #[test]
-    fn version_1_as_of_body_decodes_with_empty_credentials() {
-        let mut body = vec![1u8];
-        put_str(&mut body, "db");
-        body.extend_from_slice(&99u64.to_be_bytes());
-        let req = Request::decode(codes::AS_OF, &body).unwrap();
-        assert_eq!(
-            req,
-            Request::AsOf {
-                version: 1,
-                database: "db".into(),
-                ts: 99,
-                user: String::new(),
-                password: String::new(),
-            }
-        );
-    }
-
-    #[test]
-    fn untraced_execute_matches_the_version_1_encoding() {
-        // The trace flag must be absent when off, so old peers that
-        // encode only the statement string stay wire-compatible.
+    fn untraced_execute_omits_the_trace_flag() {
+        // The trace flag is absent when off: an untraced frame is the
+        // statement string and nothing else.
         let body = Request::Execute {
             stmt: "1 to 3".into(),
             trace: false,

@@ -91,8 +91,7 @@ pub struct NetConfig {
     /// Registered connections the event thread will carry; beyond this
     /// the listener rejects with `overloaded`.
     pub max_conns: usize,
-    /// When set, `StartSession`/`AsOf` must carry these credentials
-    /// (protocol v2); v1 clients, which cannot, are turned away.
+    /// When set, `StartSession`/`AsOf` must carry these credentials.
     pub auth: Option<Credentials>,
 }
 
@@ -707,27 +706,17 @@ fn serve_batch(shared: &Shared, waker: &Waker, job: &mut Job) -> bool {
 /// Gates a session-open on protocol version and credentials. Returns the
 /// refusal to send (the connection closes) or `None` to proceed.
 fn session_gate(version: u8, user: &str, password: &str, shared: &Shared) -> Option<Response> {
-    let m = &shared.metrics;
-    if version == 0 || version > PROTOCOL_VERSION {
+    if version != PROTOCOL_VERSION {
         return Some(Response::Error {
             kind: "protocol".into(),
             message: format!(
-                "protocol version {version} unsupported (server speaks 1..={PROTOCOL_VERSION})"
+                "protocol version {version} unsupported (server speaks {PROTOCOL_VERSION})"
             ),
         });
     }
     let creds = shared.cfg.auth.as_ref()?;
-    if version < 2 {
-        m.auth_failures.inc();
-        return Some(Response::Error {
-            kind: "auth".into(),
-            message: "authentication required; protocol v1 carries no credentials — reconnect \
-                      with protocol v2"
-                .into(),
-        });
-    }
     if user != creds.user || password != creds.password {
-        m.auth_failures.inc();
+        shared.metrics.auth_failures.inc();
         return Some(Response::Error {
             kind: "auth".into(),
             message: "authentication failed".into(),

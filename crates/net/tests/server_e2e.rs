@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use sedna::{DbConfig, Governor};
 use sedna_net::{
     ClientError, Credentials, ExecReply, NetConfig, Request, Response, SednaClient, Server,
-    ServerHandle,
+    ServerHandle, PROTOCOL_VERSION,
 };
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -789,7 +789,7 @@ fn cancel_races_a_pipelined_fetch_without_corrupting_the_stream() {
 }
 
 #[test]
-fn auth_rejects_bad_credentials_and_protocol_v1_clients() {
+fn auth_rejects_bad_credentials() {
     let (handle, dir, _governor) = start_server_cfg(
         "auth",
         NetConfig {
@@ -813,28 +813,6 @@ fn auth_rejects_bad_credentials_and_protocol_v1_clients() {
         other => panic!("expected an auth envelope, got {other}"),
     }
 
-    // A protocol-v1 StartSession has no credential fields at all, so an
-    // authenticating server must turn it away rather than treat it as
-    // an empty password.
-    let mut v1 = SednaClient::connect_admin(addr).unwrap();
-    v1.send_request(&Request::StartSession {
-        version: 1,
-        database: "db".into(),
-        user: String::new(),
-        password: String::new(),
-    })
-    .unwrap();
-    match v1.recv_response().unwrap() {
-        Response::Error { kind, message } => {
-            assert_eq!(kind, "auth");
-            assert!(
-                message.contains("v2"),
-                "message should say how to fix it: {message}"
-            );
-        }
-        other => panic!("expected an auth envelope for the v1 client, got {other:?}"),
-    }
-
     // The right credentials work, and the session is fully functional.
     let mut ok = SednaClient::connect_with_auth(addr, "db", "admin", "s3cret").unwrap();
     ok.execute("CREATE DOCUMENT 'd'").unwrap();
@@ -847,8 +825,8 @@ fn auth_rejects_bad_credentials_and_protocol_v1_clients() {
 
     let m = handle.metrics();
     assert!(
-        m.auth_failures.get() >= 3,
-        "three refusals must be counted, got {}",
+        m.auth_failures.get() >= 2,
+        "both refusals must be counted, got {}",
         m.auth_failures.get()
     );
     handle.shutdown().unwrap();
@@ -856,36 +834,15 @@ fn auth_rejects_bad_credentials_and_protocol_v1_clients() {
 }
 
 #[test]
-fn version_negotiation_keeps_v1_clients_working_and_refuses_unknown_versions() {
+fn every_protocol_version_but_the_current_one_is_refused() {
     let (handle, dir, _governor) = start_server("v1", 0);
     let addr = handle.addr();
 
-    // A v1 client (no credentials on the wire) round-trips against an
-    // unauthenticated v2 server: the frames it sends are byte-identical
-    // to the old protocol's.
-    let mut v1 = SednaClient::connect_admin(addr).unwrap();
-    v1.send_request(&Request::StartSession {
-        version: 1,
-        database: "db".into(),
-        user: String::new(),
-        password: String::new(),
-    })
-    .unwrap();
-    assert!(matches!(
-        v1.recv_response().unwrap(),
-        Response::SessionStarted
-    ));
-    v1.execute("CREATE DOCUMENT 'd'").unwrap();
-    v1.load_xml("d", "<r><v>7</v></r>").unwrap();
-    assert_eq!(
-        v1.query("doc('d')//v/text()").unwrap(),
-        vec!["7".to_string()]
-    );
-    v1.close().unwrap();
-
-    // Versions the server does not speak are refused with a `protocol`
-    // envelope naming the supported range.
-    for bad in [0u8, 9] {
+    // The server speaks exactly PROTOCOL_VERSION: version 1 (which no
+    // client outside this repository ever spoke) and unknown versions
+    // alike get a `protocol` envelope naming the accepted one, and the
+    // connection is closed.
+    for bad in [0u8, 1, 9] {
         let mut c = SednaClient::connect_admin(addr).unwrap();
         c.send_request(&Request::StartSession {
             version: bad,
@@ -897,7 +854,10 @@ fn version_negotiation_keeps_v1_clients_working_and_refuses_unknown_versions() {
         match c.recv_response().unwrap() {
             Response::Error { kind, message } => {
                 assert_eq!(kind, "protocol");
-                assert!(message.contains("1..=2"), "message: {message}");
+                assert!(
+                    message.contains(&format!("server speaks {PROTOCOL_VERSION}")),
+                    "message: {message}"
+                );
             }
             other => panic!("expected a protocol envelope for version {bad}, got {other:?}"),
         }

@@ -428,6 +428,89 @@ impl Expr {
     pub fn boxed(self) -> Box<Expr> {
         Box::new(self)
     }
+
+    /// Calls `f` on this expression and then on every subexpression, in
+    /// pre-order. The one walk over an expression's children: analyses
+    /// (here and in the session layer) state only the pattern they look
+    /// for and leave the traversal to this.
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        match self {
+            Expr::Sequence(items) => items.iter().for_each(|i| i.visit(f)),
+            Expr::Flwor {
+                clauses,
+                where_,
+                order,
+                ret,
+            } => {
+                for c in clauses {
+                    match c {
+                        FlworClause::For { expr, .. } | FlworClause::Let { expr, .. } => {
+                            expr.visit(f)
+                        }
+                    }
+                }
+                if let Some(w) = where_ {
+                    w.visit(f);
+                }
+                for o in order {
+                    o.key.visit(f);
+                }
+                ret.visit(f);
+            }
+            Expr::Quantified {
+                within, satisfies, ..
+            } => {
+                within.visit(f);
+                satisfies.visit(f);
+            }
+            Expr::If { cond, then, els } => {
+                cond.visit(f);
+                then.visit(f);
+                els.visit(f);
+            }
+            Expr::Or(a, b)
+            | Expr::And(a, b)
+            | Expr::GeneralCmp(_, a, b)
+            | Expr::ValueCmp(_, a, b)
+            | Expr::Arith(_, a, b)
+            | Expr::Range(a, b)
+            | Expr::Union(a, b)
+            | Expr::Intersect(a, b)
+            | Expr::Except(a, b) => {
+                a.visit(f);
+                b.visit(f);
+            }
+            Expr::Neg(a) | Expr::Ddo(a) | Expr::TextCtor(a) => a.visit(f),
+            Expr::Cached { expr, .. } => expr.visit(f),
+            Expr::Path { start, steps } => {
+                if let PathStart::Expr(e) = start {
+                    e.visit(f);
+                }
+                for s in steps {
+                    s.predicates.iter().for_each(|p| p.visit(f));
+                }
+            }
+            Expr::Filter { input, predicates } => {
+                input.visit(f);
+                predicates.iter().for_each(|p| p.visit(f));
+            }
+            Expr::FnCall { args, .. } => args.iter().for_each(|a| a.visit(f)),
+            Expr::ElementCtor {
+                attrs, children, ..
+            } => {
+                for (_, parts) in attrs {
+                    parts.iter().for_each(|p| p.visit(f));
+                }
+                children.iter().for_each(|c| c.visit(f));
+            }
+            Expr::Literal(_)
+            | Expr::Empty
+            | Expr::VarRef { .. }
+            | Expr::ContextItem
+            | Expr::StructuralPath { .. } => {}
+        }
+    }
 }
 
 #[cfg(test)]

@@ -30,10 +30,6 @@ pub const BTREE_LEVEL: f64 = 32.0;
 /// Cost of dereferencing one index match (indirection-table hop plus the
 /// descriptor visit).
 pub const INDEX_DEREF: f64 = 4.0;
-/// Multiplier applied to index access when the client wants a streaming
-/// cursor: index output is in key order, so a distinct-document-order
-/// sort must buffer it, forfeiting the pipeline.
-pub const STREAMING_INDEX_PENALTY: f64 = 1.5;
 
 /// Estimated selectivity of an equality predicate (`[k = 'x']`).
 pub const SEL_EQ: f64 = 0.05;
@@ -144,18 +140,11 @@ pub fn index_match_estimate(entries: u64) -> u64 {
 
 /// Cost of answering an equality predicate through a B-tree index with
 /// `entries` keys: a probe of `log2(entries)` levels plus one
-/// indirection dereference per estimated match. Streaming clients pay
-/// [`STREAMING_INDEX_PENALTY`] because key-ordered output must be
-/// re-sorted into document order, which buffers the pipeline.
-pub fn index_cost(entries: u64, streaming: bool) -> f64 {
+/// indirection dereference per estimated match.
+pub fn index_cost(entries: u64) -> f64 {
     let probe = ((entries + 2) as f64).log2() * BTREE_LEVEL;
     let deref = index_match_estimate(entries) as f64 * INDEX_DEREF;
-    let cost = probe + deref;
-    if streaming {
-        cost * STREAMING_INDEX_PENALTY
-    } else {
-        cost
-    }
+    probe + deref
 }
 
 #[cfg(test)]
@@ -231,18 +220,13 @@ mod tests {
         let cold = path_stats(&t, &[child("r"), child("cold")]).unwrap();
         let hot = path_stats(&t, &[child("r"), child("hot")]).unwrap();
         assert!(
-            index_cost(cold.nodes, false) < scan_cost(&cold),
+            index_cost(cold.nodes) < scan_cost(&cold),
             "10k-node path must favor the index"
         );
         assert!(
-            index_cost(hot.nodes, false) > scan_cost(&hot),
+            index_cost(hot.nodes) > scan_cost(&hot),
             "3-node path must favor the scan"
         );
-    }
-
-    #[test]
-    fn streaming_penalizes_index_access() {
-        assert!(index_cost(1_000, true) > index_cost(1_000, false));
     }
 
     #[test]

@@ -856,90 +856,9 @@ impl ForState {
 /// Whether any subexpression calls `last()` (by name; resolution does
 /// not matter — a user function cannot shadow builtins here).
 fn contains_last(e: &Expr) -> bool {
-    let mut stack = vec![e];
-    while let Some(e) = stack.pop() {
-        match e {
-            Expr::FnCall { name, args, .. } => {
-                if name == "last" {
-                    return true;
-                }
-                stack.extend(args.iter());
-            }
-            Expr::Sequence(v) => stack.extend(v.iter()),
-            Expr::Flwor {
-                clauses,
-                where_,
-                order,
-                ret,
-            } => {
-                for c in clauses {
-                    match c {
-                        FlworClause::For { expr, .. } | FlworClause::Let { expr, .. } => {
-                            stack.push(expr)
-                        }
-                    }
-                }
-                if let Some(w) = where_ {
-                    stack.push(w);
-                }
-                for o in order {
-                    stack.push(&o.key);
-                }
-                stack.push(ret);
-            }
-            Expr::Quantified {
-                within, satisfies, ..
-            } => {
-                stack.push(within);
-                stack.push(satisfies);
-            }
-            Expr::If { cond, then, els } => {
-                stack.push(cond);
-                stack.push(then);
-                stack.push(els);
-            }
-            Expr::Or(a, b)
-            | Expr::And(a, b)
-            | Expr::Union(a, b)
-            | Expr::Intersect(a, b)
-            | Expr::Except(a, b)
-            | Expr::Range(a, b)
-            | Expr::GeneralCmp(_, a, b)
-            | Expr::ValueCmp(_, a, b)
-            | Expr::Arith(_, a, b) => {
-                stack.push(a);
-                stack.push(b);
-            }
-            Expr::Neg(a) | Expr::TextCtor(a) | Expr::Ddo(a) => stack.push(a),
-            Expr::Cached { expr, .. } => stack.push(expr),
-            Expr::Filter { input, predicates } => {
-                stack.push(input);
-                stack.extend(predicates.iter());
-            }
-            Expr::Path { start, steps } => {
-                if let PathStart::Expr(inner) = start {
-                    stack.push(inner);
-                }
-                for s in steps {
-                    stack.extend(s.predicates.iter());
-                }
-            }
-            Expr::ElementCtor {
-                attrs, children, ..
-            } => {
-                for (_, parts) in attrs {
-                    stack.extend(parts.iter());
-                }
-                stack.extend(children.iter());
-            }
-            Expr::StructuralPath { .. }
-            | Expr::Literal(_)
-            | Expr::Empty
-            | Expr::VarRef { .. }
-            | Expr::ContextItem => {}
-        }
-    }
-    false
+    let mut found = false;
+    e.visit(&mut |x| found |= matches!(x, Expr::FnCall { name, .. } if name == "last"));
+    found
 }
 
 #[cfg(test)]

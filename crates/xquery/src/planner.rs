@@ -24,11 +24,8 @@
 //!    cardinality, which the session layer exposes as metrics and as
 //!    `est=…` annotations in `EXPLAIN ANALYZE`.
 //!
-//! Streaming clients (cursors) pass `streaming: true`, which penalizes
-//! index access: index output is in key order and must be re-sorted
-//! into document order, forfeiting the pull pipeline. A plan costed for
-//! one client shape is never reused for the other (the plan-cache key
-//! includes the flag).
+//! There is one client shape — every query is a cursor — so a plan is a
+//! function of the statement, the catalog and the statistics alone.
 
 use std::collections::HashMap;
 
@@ -40,7 +37,7 @@ use crate::ast::{
 };
 use crate::cost;
 use crate::functions;
-use crate::rewrite::{may_depend_on_position, visit};
+use crate::rewrite::may_depend_on_position;
 use crate::value::Atom;
 
 /// One declared index, as the planner sees it.
@@ -90,16 +87,13 @@ pub struct PlanDecision {
 }
 
 /// Everything the planner needs from the database: per-document schema
-/// trees (which carry the statistics), the declared indexes, and the
-/// client shape.
+/// trees (which carry the statistics) and the declared indexes.
 #[derive(Debug, Default)]
 pub struct PlannerInput<'a> {
     /// Document name → its descriptive schema.
     pub docs: HashMap<String, &'a SchemaTree>,
     /// Declared value indexes.
     pub indexes: Vec<IndexSpec>,
-    /// Whether the plan serves a streaming cursor client.
-    pub streaming: bool,
 }
 
 /// Runs the cost-based planning pass over a rewritten statement,
@@ -203,7 +197,7 @@ fn classify(e: &Expr, index_rewrites: u64) -> AccessPath {
         return AccessPath::Index;
     }
     let mut descendant = false;
-    visit(e, &mut |x| {
+    e.visit(&mut |x| {
         let steps = match x {
             Expr::StructuralPath { steps, .. } => steps,
             Expr::Path { steps, .. } => steps,
@@ -455,7 +449,7 @@ impl Planner<'_, '_> {
                 };
                 let scan = cost::scan_cost(&stats);
                 // One key entry per indexed node (upper bound).
-                let index = cost::index_cost(stats.nodes, self.input.streaming);
+                let index = cost::index_cost(stats.nodes);
                 self.decision.scan_cost = Some(scan);
                 self.decision.index_cost = Some(index);
                 if index < scan {
@@ -563,11 +557,10 @@ mod tests {
         }
     }
 
-    fn input(tree: &SchemaTree, streaming: bool) -> PlannerInput<'_> {
+    fn input(tree: &SchemaTree) -> PlannerInput<'_> {
         PlannerInput {
             docs: HashMap::from([("d".to_string(), tree)]),
             indexes: vec![spec("ixc", "cold"), spec("ixh", "hot")],
-            streaming,
         }
     }
 
@@ -587,7 +580,7 @@ mod tests {
     #[test]
     fn cold_equality_path_routes_through_the_index() {
         let t = tree(10_000);
-        let (stmt, d) = planned("doc('d')/r/cold[k = 'x']", &input(&t, false));
+        let (stmt, d) = planned("doc('d')/r/cold[k = 'x']", &input(&t));
         assert_eq!(d.index_rewrites, 1, "{d:?}");
         assert_eq!(d.access_path, AccessPath::Index);
         assert!(d.index_cost.unwrap() < d.scan_cost.unwrap());
@@ -607,7 +600,7 @@ mod tests {
     #[test]
     fn hot_equality_path_keeps_the_scan() {
         let t = tree(10_000);
-        let (stmt, d) = planned("doc('d')/r/hot[k = 'x']", &input(&t, false));
+        let (stmt, d) = planned("doc('d')/r/hot[k = 'x']", &input(&t));
         assert_eq!(d.index_rewrites, 0, "{d:?}");
         assert_eq!(d.access_path, AccessPath::Scan);
         assert!(d.scan_cost.unwrap() < d.index_cost.unwrap());
@@ -615,19 +608,9 @@ mod tests {
     }
 
     #[test]
-    fn streaming_penalty_can_flip_the_decision() {
-        // 400 nodes / 4 blocks: index wins materialized, loses streaming.
-        let t = tree(400);
-        let (_, d) = planned("doc('d')/r/cold[k = 'x']", &input(&t, false));
-        assert_eq!(d.index_rewrites, 1, "{d:?}");
-        let (_, d) = planned("doc('d')/r/cold[k = 'x']", &input(&t, true));
-        assert_eq!(d.index_rewrites, 0, "{d:?}");
-    }
-
-    #[test]
     fn trailing_steps_survive_the_rewrite() {
         let t = tree(10_000);
-        let (stmt, d) = planned("doc('d')/r/cold[k = 'x']/t", &input(&t, false));
+        let (stmt, d) = planned("doc('d')/r/cold[k = 'x']/t", &input(&t));
         assert_eq!(d.index_rewrites, 1);
         match query_expr(&stmt) {
             Expr::Ddo(inner) => match inner.as_ref() {
@@ -650,22 +633,22 @@ mod tests {
     fn reversed_comparison_and_number_keys_match_types() {
         let t = tree(10_000);
         // Literal on the left works too.
-        let (_, d) = planned("doc('d')/r/cold['x' = k]", &input(&t, false));
+        let (_, d) = planned("doc('d')/r/cold['x' = k]", &input(&t));
         assert_eq!(d.index_rewrites, 1, "{d:?}");
         // A number literal does not match a String-keyed index.
-        let (_, d) = planned("doc('d')/r/cold[k = 7]", &input(&t, false));
+        let (_, d) = planned("doc('d')/r/cold[k = 7]", &input(&t));
         assert_eq!(d.index_rewrites, 0, "{d:?}");
     }
 
     #[test]
     fn safe_predicates_reorder_most_selective_first() {
         let t = tree(10_000);
-        let (stmt, d) = planned("doc('d')/r/cold[t][k = 'x']", &input(&t, false));
+        let (stmt, d) = planned("doc('d')/r/cold[t][k = 'x']", &input(&t));
         assert_eq!(d.predicates_reordered, 1, "{d:?}");
         // Two predicates on the step: no index rewrite, but eq now first.
         assert_eq!(d.index_rewrites, 0);
         let mut saw = false;
-        visit(query_expr(&stmt), &mut |e| {
+        query_expr(&stmt).visit(&mut |e| {
             let steps = match e {
                 Expr::Path { steps, .. } => steps,
                 _ => return,
@@ -681,7 +664,7 @@ mod tests {
     #[test]
     fn positional_predicates_are_never_reordered() {
         let t = tree(10_000);
-        let (_, d) = planned("doc('d')/r/cold[2][k = 'x']", &input(&t, false));
+        let (_, d) = planned("doc('d')/r/cold[2][k = 'x']", &input(&t));
         assert_eq!(d.predicates_reordered, 0, "{d:?}");
     }
 
@@ -689,10 +672,10 @@ mod tests {
     fn where_clause_and_chain_reorders() {
         let t = tree(10_000);
         let q = "for $x in doc('d')/r/hot where $x/t < 3 and $x/k = 'a' return $x";
-        let (stmt, d) = planned(q, &input(&t, false));
+        let (stmt, d) = planned(q, &input(&t));
         assert_eq!(d.predicates_reordered, 1, "{d:?}");
         let mut ok = false;
-        visit(query_expr(&stmt), &mut |e| {
+        query_expr(&stmt).visit(&mut |e| {
             if let Expr::And(a, _) = e {
                 // The equality moved to the front of the chain.
                 if matches!(strip_wrappers(a), Expr::GeneralCmp(CmpOp::Eq, ..)) {
@@ -706,14 +689,14 @@ mod tests {
     #[test]
     fn descendant_paths_classify_as_descendant() {
         let t = tree(10);
-        let (_, d) = planned("doc('d')//cold", &input(&t, false));
+        let (_, d) = planned("doc('d')//cold", &input(&t));
         assert_eq!(d.access_path, AccessPath::Descendant);
     }
 
     #[test]
     fn estimates_come_from_the_exact_counters() {
         let t = tree(10_000);
-        let inp = input(&t, false);
+        let inp = input(&t);
         let (_, d) = planned("doc('d')/r/cold", &inp);
         assert_eq!(d.estimated_rows, Some(10_000));
         // Equality predicate scales by SEL_EQ — here via the index path.

@@ -356,7 +356,7 @@ pub fn may_depend_on_position(e: &Expr) -> bool {
 
 fn contains_position_call(e: &Expr) -> bool {
     let mut found = false;
-    visit(e, &mut |x| {
+    e.visit(&mut |x| {
         if let Expr::FnCall { name, .. } = x {
             if name == "position" || name == "last" {
                 found = true;
@@ -366,84 +366,10 @@ fn contains_position_call(e: &Expr) -> bool {
     found
 }
 
-/// Generic immutable visitor (shared with the cost-based planner).
-pub(crate) fn visit(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match e {
-        Expr::Sequence(items) => items.iter().for_each(|i| visit(i, f)),
-        Expr::Flwor {
-            clauses,
-            where_,
-            order,
-            ret,
-        } => {
-            for c in clauses {
-                match c {
-                    FlworClause::For { expr, .. } | FlworClause::Let { expr, .. } => visit(expr, f),
-                }
-            }
-            if let Some(w) = where_ {
-                visit(w, f);
-            }
-            for o in order {
-                visit(&o.key, f);
-            }
-            visit(ret, f);
-        }
-        Expr::Quantified {
-            within, satisfies, ..
-        } => {
-            visit(within, f);
-            visit(satisfies, f);
-        }
-        Expr::If { cond, then, els } => {
-            visit(cond, f);
-            visit(then, f);
-            visit(els, f);
-        }
-        Expr::Or(a, b)
-        | Expr::And(a, b)
-        | Expr::GeneralCmp(_, a, b)
-        | Expr::ValueCmp(_, a, b)
-        | Expr::Arith(_, a, b)
-        | Expr::Range(a, b)
-        | Expr::Union(a, b)
-        | Expr::Intersect(a, b)
-        | Expr::Except(a, b) => {
-            visit(a, f);
-            visit(b, f);
-        }
-        Expr::Neg(a) | Expr::Ddo(a) | Expr::TextCtor(a) => visit(a, f),
-        Expr::Cached { expr, .. } => visit(expr, f),
-        Expr::Path { start, steps } => {
-            if let PathStart::Expr(e) = start {
-                visit(e, f);
-            }
-            for s in steps {
-                s.predicates.iter().for_each(|p| visit(p, f));
-            }
-        }
-        Expr::Filter { input, predicates } => {
-            visit(input, f);
-            predicates.iter().for_each(|p| visit(p, f));
-        }
-        Expr::FnCall { args, .. } => args.iter().for_each(|a| visit(a, f)),
-        Expr::ElementCtor {
-            attrs, children, ..
-        } => {
-            for (_, parts) in attrs {
-                parts.iter().for_each(|p| visit(p, f));
-            }
-            children.iter().for_each(|c| visit(c, f));
-        }
-        _ => {}
-    }
-}
-
 /// Free variable slots referenced by `e`.
 pub fn free_slots(e: &Expr) -> Vec<usize> {
     let mut out = Vec::new();
-    visit(e, &mut |x| {
+    e.visit(&mut |x| {
         if let Expr::VarRef { slot, .. } = x {
             out.push(*slot);
         }
@@ -460,7 +386,7 @@ fn recursive_functions(stmt: &Statement) -> Vec<bool> {
     // callees[i] = user functions directly called by function i.
     let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, f) in stmt.functions.iter().enumerate() {
-        visit(&f.body, &mut |e| {
+        f.body.visit(&mut |e| {
             if let Expr::FnCall {
                 resolved: FnResolution::User(j),
                 ..
@@ -1107,7 +1033,7 @@ mod tests {
         // The call is gone from the body.
         fn has_user_call(e: &Expr) -> bool {
             let mut found = false;
-            visit(e, &mut |x| {
+            e.visit(&mut |x| {
                 if matches!(
                     x,
                     Expr::FnCall {
@@ -1145,7 +1071,7 @@ mod tests {
         assert!(stats.functions_inlined >= 3, "{stats:?}");
         fn has_user_call(e: &Expr) -> bool {
             let mut found = false;
-            visit(e, &mut |x| {
+            e.visit(&mut |x| {
                 if matches!(
                     x,
                     Expr::FnCall {
