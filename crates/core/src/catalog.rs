@@ -2,13 +2,14 @@
 //! binary codecs used by checkpoint records and commit-time catalog
 //! deltas.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use sedna_index::{BTreeIndex, IndexKey};
 use sedna_sas::{Vas, XPtr};
-use sedna_schema::{NodeKind, SchemaTree};
-use sedna_storage::{DocStorage, NodeRef, ParentMode};
+use sedna_schema::{NodeKind, SchemaNodeId, SchemaTree};
+use sedna_storage::{block, DocStorage, NodeRef, ParentMode};
 use sedna_xquery::ast::{Axis, IndexKeyType, NodeTest, Step};
+use sedna_xquery::cost::schema_step;
 
 use crate::error::{DbError, DbResult};
 
@@ -324,38 +325,81 @@ pub fn catalog_from_blob(bytes: &[u8]) -> Option<Catalog> {
 }
 
 // ---------------------------------------------------------------------
-// Index evaluation helpers (build + incremental maintenance)
+// Index entries: one key derivation, one build, one side of a diff
 // ---------------------------------------------------------------------
 
 /// The schema nodes selected by an index's ON path.
-pub fn on_schema_nodes(schema: &SchemaTree, meta: &IndexMeta) -> Vec<sedna_schema::SchemaNodeId> {
-    let steps: Vec<sedna_schema::PathStep> = meta
+pub(crate) fn on_schema_nodes(schema: &SchemaTree, meta: &IndexMeta) -> Vec<SchemaNodeId> {
+    // The DDL parser and the catalog codec admit only descending axes.
+    let steps: Vec<_> = meta
         .on
         .iter()
-        .map(|s| sedna_schema::PathStep {
-            axis: match s.axis {
-                Axis::Child => sedna_schema::SchemaAxis::Child,
-                Axis::Descendant => sedna_schema::SchemaAxis::Descendant,
-                Axis::DescendantOrSelf => sedna_schema::SchemaAxis::DescendantOrSelf,
-                Axis::Attribute => sedna_schema::SchemaAxis::Attribute,
-                _ => sedna_schema::SchemaAxis::Child,
-            },
-            test: match &s.test {
-                NodeTest::Name(n) => sedna_schema::SchemaTest::Name(n.clone()),
-                NodeTest::Wildcard => sedna_schema::SchemaTest::AnyName,
-                NodeTest::Text => sedna_schema::SchemaTest::Text,
-                NodeTest::Comment => sedna_schema::SchemaTest::Comment,
-                NodeTest::Pi(_) => sedna_schema::SchemaTest::Pi,
-                NodeTest::AnyKind => sedna_schema::SchemaTest::AnyKind,
-            },
-        })
+        .map(|s| schema_step(s).expect("index paths use descending axes only"))
         .collect();
     sedna_schema::path::eval_structural_path(schema, &steps)
 }
 
+/// The key of `node`, an ON node of index `meta` — the only place an
+/// entry's key is derived: the BY path's first match, typed. `None` when
+/// the path selects nothing or the value does not convert.
+pub(crate) fn index_key(
+    vas: &Vas,
+    doc: &DocData,
+    meta: &IndexMeta,
+    node: NodeRef,
+) -> DbResult<Option<IndexKey>> {
+    Ok(eval_by_path(vas, &doc.schema, node, &meta.by)?
+        .and_then(|raw| make_key(meta.key_type, &raw)))
+}
+
+/// Inserts the entry of every node the ON path selects into `tree`, by
+/// scanning the ON schema nodes' block lists: `CREATE INDEX` builds a
+/// fresh tree this way, and a bulk load fills the indexes declared on
+/// the (empty) document it loads.
+pub(crate) fn build_index(
+    vas: &Vas,
+    doc: &DocData,
+    meta: &IndexMeta,
+    tree: &mut BTreeIndex,
+) -> DbResult<()> {
+    for sid in on_schema_nodes(&doc.schema, meta) {
+        let mut nodes = Vec::new();
+        let mut blk = doc.schema.node(sid).first_block;
+        while !blk.is_null() {
+            blk = block::scan_block(vas, blk, |n| nodes.push(n))?;
+        }
+        for node in nodes {
+            if let Some(key) = index_key(vas, doc, meta, node)? {
+                tree.insert(vas, &key, node.handle(vas)?)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Handle → key over the ON nodes of index `meta` among `nodes`: one
+/// side of an update's before/after diff.
+pub(crate) fn index_entries(
+    vas: &Vas,
+    doc: &DocData,
+    meta: &IndexMeta,
+    nodes: &[NodeRef],
+) -> DbResult<BTreeMap<XPtr, IndexKey>> {
+    let on: HashSet<SchemaNodeId> = on_schema_nodes(&doc.schema, meta).into_iter().collect();
+    let mut out = BTreeMap::new();
+    for &node in nodes {
+        if on.contains(&node.schema(vas)?) {
+            if let Some(key) = index_key(vas, doc, meta, node)? {
+                out.insert(node.handle(vas)?, key);
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// Evaluates the BY path navigationally from `node`, returning the first
 /// matching node's string value (no key when the path selects nothing).
-pub fn eval_by_path(
+fn eval_by_path(
     vas: &Vas,
     schema: &SchemaTree,
     node: NodeRef,
@@ -452,7 +496,7 @@ fn test_matches(
 }
 
 /// Converts a raw string value into a typed index key.
-pub fn make_key(key_type: IndexKeyType, raw: &str) -> Option<IndexKey> {
+fn make_key(key_type: IndexKeyType, raw: &str) -> Option<IndexKey> {
     match key_type {
         IndexKeyType::String => Some(IndexKey::string(raw)),
         IndexKeyType::Number => raw.trim().parse::<f64>().ok().and_then(IndexKey::number),

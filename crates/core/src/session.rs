@@ -21,21 +21,24 @@
 //! discarded (§6.1) and the in-memory catalog entries are restored from
 //! the transaction's undo copies.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::time::Instant;
 
 use sedna_sync::{Arc, Mutex};
 
+use sedna_index::IndexKey;
 use sedna_obs::trace::{events, SamplingPolicy, TraceCollector};
 use sedna_sas::{Vas, XPtr};
 use sedna_schema::{NodeKind, SchemaTree};
-use sedna_storage::{build, indirection, NodeRef};
+use sedna_storage::{build, indirection, NodeRef, ParentMode};
 use sedna_txn::{LockMode, TxnHandle};
 use sedna_wal::WalRecord;
-use sedna_xquery::ast::{DdlStmt, Expr, PathStart, Statement, StatementKind, UpdateStmt};
+use sedna_xquery::ast::{
+    DdlStmt, Expr, InsertPos, PathStart, Statement, StatementKind, UpdateStmt,
+};
 use sedna_xquery::exec::ExecStats;
 use sedna_xquery::planner::{self, AccessPath, IndexSpec, PlanDecision, PlannerInput};
-use sedna_xquery::update;
+use sedna_xquery::update::{self, UpdatePlan};
 use sedna_xquery::value::Atom;
 
 use crate::cancel::CancelFlag;
@@ -986,42 +989,19 @@ impl Session {
             .txns
             .locks
             .lock_document(handle.id, target_id, LockMode::X)?;
-        self.save_doc_undo(&plan_doc_name)?;
+        self.save_doc_undo(&plan_doc_name);
 
-        // Index maintenance, phase A: entries leaving the index.
-        let index_names: Vec<String> = {
-            let catalog = self.db.catalog.read();
-            catalog.indexes_of(&plan_doc_name)
+        // Index maintenance is one before/after diff, keyed by handle, over
+        // the nodes the statement can change (DESIGN.md §5).
+        let indexes = self.db.catalog.read().indexes_of(&plan_doc_name);
+        let (survivors, before) = if indexes.is_empty() {
+            (Vec::new(), Vec::new())
+        } else {
+            let mode = self.db.catalog.read().doc(&plan_doc_name)?.storage.mode;
+            let (anchors, changed, survivors) = update_anchors(&self.vas, mode, &plan)?;
+            let before = self.index_maps(&plan_doc_name, &indexes, &anchors, changed)?;
+            (survivors, before)
         };
-        let mut removals: Vec<(String, Vec<(sedna_index::IndexKey, XPtr)>)> = Vec::new();
-        if !index_names.is_empty() {
-            let catalog = self.db.catalog.read();
-            let d = catalog.doc(&plan_doc_name)?;
-            for iname in &index_names {
-                let idx = &catalog.indexes[iname];
-                let mut entries = Vec::new();
-                match &plan {
-                    update::UpdatePlan::Delete { targets }
-                    | update::UpdatePlan::ReplaceValue { targets, .. } => {
-                        for &h in targets {
-                            let node = NodeRef(
-                                indirection::deref_handle(&self.vas, h)
-                                    .map_err(DbError::Storage)?,
-                            );
-                            self.collect_affected_entries(
-                                d,
-                                &idx.meta,
-                                node,
-                                matches!(&plan, update::UpdatePlan::ReplaceValue { .. }),
-                                &mut entries,
-                            )?;
-                        }
-                    }
-                    update::UpdatePlan::Insert { .. } => {}
-                }
-                removals.push((iname.clone(), entries));
-            }
-        }
 
         // Phase 2: apply.
         let outcome = {
@@ -1030,132 +1010,84 @@ impl Session {
             update::execute_plan(&plan, &self.vas, &mut d.schema, &mut d.storage)?
         };
 
-        // Index maintenance, phase B: apply removals, add new entries.
-        if !index_names.is_empty() {
-            // Collect additions against the post-update state.
-            let mut additions: Vec<(String, Vec<(sedna_index::IndexKey, XPtr)>)> = Vec::new();
-            {
-                let catalog = self.db.catalog.read();
-                let d = catalog.doc(&plan_doc_name)?;
-                for iname in &index_names {
-                    let idx = &catalog.indexes[iname];
-                    let mut entries = Vec::new();
-                    match &plan {
-                        update::UpdatePlan::Insert { .. } => {
-                            for &h in &outcome.inserted_roots {
-                                let node = NodeRef(
-                                    indirection::deref_handle(&self.vas, h)
-                                        .map_err(DbError::Storage)?,
-                                );
-                                self.collect_affected_entries(
-                                    d,
-                                    &idx.meta,
-                                    node,
-                                    true,
-                                    &mut entries,
-                                )?;
-                            }
-                        }
-                        update::UpdatePlan::ReplaceValue { targets, .. } => {
-                            for &h in targets {
-                                let node = NodeRef(
-                                    indirection::deref_handle(&self.vas, h)
-                                        .map_err(DbError::Storage)?,
-                                );
-                                self.collect_affected_entries(
-                                    d,
-                                    &idx.meta,
-                                    node,
-                                    true,
-                                    &mut entries,
-                                )?;
-                            }
-                        }
-                        update::UpdatePlan::Delete { .. } => {}
-                    }
-                    additions.push((iname.clone(), entries));
-                }
-            }
-            let mut catalog = self.db.catalog.write();
-            for (iname, entries) in removals {
-                let idx = catalog
-                    .indexes
-                    .get_mut(&iname)
-                    .ok_or_else(|| DbError::NotFound(format!("index '{iname}'")))?;
-                for (key, h) in entries {
-                    idx.tree.remove(&self.vas, &key, h)?;
-                }
-            }
-            for (iname, entries) in additions {
-                let idx = catalog
-                    .indexes
-                    .get_mut(&iname)
-                    .ok_or_else(|| DbError::NotFound(format!("index '{iname}'")))?;
-                for (key, h) in entries {
-                    idx.tree.insert(&self.vas, &key, h)?;
-                }
-            }
-            drop(catalog);
-            for iname in &index_names {
-                self.mark_touched(&format!("index:{iname}"), TouchKind::Index)?;
+        if !indexes.is_empty() {
+            let added = match &plan {
+                UpdatePlan::Insert { .. } => &outcome.inserted_roots[..],
+                UpdatePlan::ReplaceValue { targets, .. } => &targets[..],
+                UpdatePlan::Delete { .. } => &[],
+            };
+            let after = self.index_maps(&plan_doc_name, &indexes, &survivors, added)?;
+            for ((name, old), new) in indexes.iter().zip(before).zip(after) {
+                self.write_index_diff(name, &old, &new)?;
             }
         }
 
-        self.mark_touched(&format!("doc:{plan_doc_name}"), TouchKind::Doc)?;
+        self.mark_touched(&format!("doc:{plan_doc_name}"))?;
         Ok(outcome.affected)
     }
 
-    /// Collects `(key, handle)` entries for index `meta` on document `doc`
-    /// among `root` and its descendants (and, when `include_ancestors`,
-    /// the indexed ancestors whose BY path may pass through the changed
-    /// node). Takes the document from the caller's catalog guard and never
-    /// touches the catalog lock itself: a second `read()` under the
-    /// caller's would deadlock against a writer queued in between.
-    fn collect_affected_entries(
+    /// Handle → key, per index, over the ON nodes among the `anchors`'
+    /// ancestors-or-self (a BY path starts at its ON node and only
+    /// descends) and in the subtrees under `roots`, as the document
+    /// stands now. The helpers take the document from this one catalog
+    /// guard: a second `read()` under it would deadlock against a writer
+    /// queued in between.
+    fn index_maps(
         &self,
-        doc: &DocData,
-        meta: &IndexMeta,
-        root: NodeRef,
-        include_ancestors: bool,
-        out: &mut Vec<(sedna_index::IndexKey, XPtr)>,
+        doc: &str,
+        indexes: &[String],
+        anchors: &[XPtr],
+        roots: &[XPtr],
+    ) -> DbResult<Vec<BTreeMap<XPtr, IndexKey>>> {
+        let catalog = self.db.catalog.read();
+        let d = catalog.doc(doc)?;
+        let mut nodes = subtree_nodes(&self.vas, roots)?;
+        for &a in anchors {
+            nodes.extend(ancestors_or_self(
+                &self.vas,
+                d.storage.mode,
+                deref(&self.vas, a)?,
+            )?);
+        }
+        indexes
+            .iter()
+            .map(|name| catalog::index_entries(&self.vas, d, &catalog.indexes[name].meta, &nodes))
+            .collect()
+    }
+
+    /// Writes what changed between an index's `before` and `after` maps
+    /// and nothing else, taking the index's undo copy first.
+    fn write_index_diff<'m>(
+        &mut self,
+        name: &str,
+        before: &'m BTreeMap<XPtr, IndexKey>,
+        after: &'m BTreeMap<XPtr, IndexKey>,
     ) -> DbResult<()> {
-        let schema = &doc.schema;
-        let mode = doc.storage.mode;
-        let on_sids: HashSet<_> = catalog::on_schema_nodes(schema, meta).into_iter().collect();
-        // The subtree.
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            let sid = n.schema(&self.vas).map_err(DbError::Storage)?;
-            if on_sids.contains(&sid) {
-                if let Some(raw) = catalog::eval_by_path(&self.vas, schema, n, &meta.by)? {
-                    if let Some(key) = catalog::make_key(meta.key_type, &raw) {
-                        out.push((key, n.handle(&self.vas).map_err(DbError::Storage)?));
-                    }
-                }
+        let stale = |from: &'m BTreeMap<XPtr, IndexKey>, to: &BTreeMap<XPtr, IndexKey>| {
+            from.iter()
+                .filter(|&(h, k)| to.get(h) != Some(k))
+                .collect::<Vec<_>>()
+        };
+        let (removed, added) = (stale(before, after), stale(after, before));
+        if removed.is_empty() && added.is_empty() {
+            return Ok(());
+        }
+        self.save_index_undo(name);
+        {
+            let mut catalog = self.db.catalog.write();
+            let tree = &mut catalog
+                .indexes
+                .get_mut(name)
+                .ok_or_else(|| DbError::NotFound(format!("index '{name}'")))?
+                .tree;
+            for (&h, key) in removed {
+                tree.remove(&self.vas, key, h)?;
             }
-            if matches!(
-                n.kind(&self.vas).map_err(DbError::Storage)?,
-                NodeKind::Element | NodeKind::Document
-            ) {
-                stack.extend(n.children(&self.vas).map_err(DbError::Storage)?);
+            for (&h, key) in added {
+                tree.insert(&self.vas, key, h)?;
             }
         }
-        // Ancestors (value changes can affect an ancestor's key).
-        if include_ancestors {
-            let mut cur = root.parent(&self.vas, mode).map_err(DbError::Storage)?;
-            while let Some(n) = cur {
-                let sid = n.schema(&self.vas).map_err(DbError::Storage)?;
-                if on_sids.contains(&sid) {
-                    if let Some(raw) = catalog::eval_by_path(&self.vas, schema, n, &meta.by)? {
-                        if let Some(key) = catalog::make_key(meta.key_type, &raw) {
-                            out.push((key, n.handle(&self.vas).map_err(DbError::Storage)?));
-                        }
-                    }
-                }
-                cur = n.parent(&self.vas, mode).map_err(DbError::Storage)?;
-            }
-        }
-        Ok(())
+        self.mark_touched(&format!("index:{name}"))
     }
 
     // --------------------------------------------------------------
@@ -1189,8 +1121,8 @@ impl Session {
                     &mut schema,
                     self.db.cfg.parent_mode,
                 )?;
-                let mut catalog = self.db.catalog.write();
-                catalog.docs.insert(
+                self.save_doc_undo(&name);
+                self.db.catalog.write().docs.insert(
                     name.clone(),
                     DocData {
                         id,
@@ -1198,10 +1130,7 @@ impl Session {
                         storage,
                     },
                 );
-                drop(catalog);
-                self.record_undo_doc(&name, None);
-                self.mark_touched(&format!("doc:{name}"), TouchKind::Doc)?;
-                Ok(())
+                self.mark_touched(&format!("doc:{name}"))
             }
             DdlStmt::DropDocument(name) => {
                 let id = {
@@ -1212,7 +1141,7 @@ impl Session {
                     .txns
                     .locks
                     .lock_document(handle.id, id, LockMode::X)?;
-                self.save_doc_undo(&name)?;
+                self.save_doc_undo(&name);
                 // Free every page of the document.
                 let data = {
                     let mut catalog = self.db.catalog.write();
@@ -1261,55 +1190,37 @@ impl Session {
                     by,
                     key_type,
                 };
-                // Full build over the ON schema nodes' block lists.
                 let mut tree = sedna_index::BTreeIndex::create(&self.vas)?;
                 tree.set_metrics(self.db.obs.index.clone());
                 {
                     let catalog = self.db.catalog.read();
-                    let d = catalog.doc(&doc)?;
-                    let on_sids = catalog::on_schema_nodes(&d.schema, &meta);
-                    for sid in on_sids {
-                        for node in scan_schema_list(&self.vas, &d.schema, sid)? {
-                            if let Some(raw) =
-                                catalog::eval_by_path(&self.vas, &d.schema, node, &meta.by)?
-                            {
-                                if let Some(key) = catalog::make_key(meta.key_type, &raw) {
-                                    let h = node.handle(&self.vas).map_err(DbError::Storage)?;
-                                    tree.insert(&self.vas, &key, h)?;
-                                }
-                            }
-                        }
-                    }
+                    catalog::build_index(&self.vas, catalog.doc(&doc)?, &meta, &mut tree)?;
                 }
-                let mut catalog = self.db.catalog.write();
-                catalog
+                self.save_index_undo(&name);
+                self.db
+                    .catalog
+                    .write()
                     .indexes
                     .insert(name.clone(), IndexData { meta, tree });
-                drop(catalog);
-                self.record_undo_index(&name, None);
-                self.mark_touched(&format!("index:{name}"), TouchKind::Index)?;
-                Ok(())
+                self.mark_touched(&format!("index:{name}"))
             }
             DdlStmt::DropIndex(name) => self.drop_index_internal(&name),
         }
     }
 
     fn drop_index_internal(&mut self, name: &str) -> DbResult<()> {
-        let data = {
+        let tree = {
             let catalog = self.db.catalog.read();
             catalog
                 .indexes
                 .get(name)
-                .cloned()
+                .map(|i| i.tree.clone())
                 .ok_or_else(|| DbError::NotFound(format!("index '{name}'")))?
         };
-        self.record_undo_index(name, Some(data.clone()));
-        data.tree.destroy(&self.vas)?;
-        let mut catalog = self.db.catalog.write();
-        catalog.indexes.remove(name);
-        drop(catalog);
-        self.mark_dropped(&format!("index:{name}"))?;
-        Ok(())
+        self.save_index_undo(name);
+        tree.destroy(&self.vas)?;
+        self.db.catalog.write().indexes.remove(name);
+        self.mark_dropped(&format!("index:{name}"))
     }
 
     // --------------------------------------------------------------
@@ -1332,7 +1243,7 @@ impl Session {
                 .txns
                 .locks
                 .lock_document(handle.id, id, LockMode::X)?;
-            self.save_doc_undo(doc_name)?;
+            self.save_doc_undo(doc_name);
             let events = sedna_xml::XmlReader::new(xml)
                 .collect_events()
                 .map_err(|e| DbError::Conflict(format!("XML parse error: {e}")))?;
@@ -1355,50 +1266,26 @@ impl Session {
             // Indexes declared before the load must cover the new nodes.
             // The document was empty, so the whole ON-path population is
             // the delta — the same full build CREATE INDEX performs.
-            let index_names: Vec<String> = {
-                let catalog = self.db.catalog.read();
-                catalog.indexes_of(doc_name)
-            };
-            for iname in &index_names {
-                let entries = {
+            let indexes = self.db.catalog.read().indexes_of(doc_name);
+            for iname in &indexes {
+                self.save_index_undo(iname);
+                let tree = {
                     let catalog = self.db.catalog.read();
-                    let d = catalog.doc(doc_name)?;
-                    let meta = &catalog
-                        .indexes
-                        .get(iname)
-                        .ok_or_else(|| DbError::NotFound(format!("index '{iname}'")))?
-                        .meta;
-                    let mut out = Vec::new();
-                    for sid in catalog::on_schema_nodes(&d.schema, meta) {
-                        for node in scan_schema_list(&self.vas, &d.schema, sid)? {
-                            if let Some(raw) =
-                                catalog::eval_by_path(&self.vas, &d.schema, node, &meta.by)?
-                            {
-                                if let Some(key) = catalog::make_key(meta.key_type, &raw) {
-                                    let h = node.handle(&self.vas).map_err(DbError::Storage)?;
-                                    out.push((key, h));
-                                }
-                            }
-                        }
-                    }
-                    out
+                    let idx = &catalog.indexes[iname];
+                    let mut tree = idx.tree.clone();
+                    catalog::build_index(&self.vas, catalog.doc(doc_name)?, &idx.meta, &mut tree)?;
+                    tree
                 };
-                if entries.is_empty() {
-                    continue;
-                }
-                {
-                    let mut catalog = self.db.catalog.write();
-                    let idx = catalog
-                        .indexes
-                        .get_mut(iname)
-                        .ok_or_else(|| DbError::NotFound(format!("index '{iname}'")))?;
-                    for (key, h) in entries {
-                        idx.tree.insert(&self.vas, &key, h)?;
-                    }
-                }
-                self.mark_touched(&format!("index:{iname}"), TouchKind::Index)?;
+                self.db
+                    .catalog
+                    .write()
+                    .indexes
+                    .get_mut(iname)
+                    .ok_or_else(|| DbError::NotFound(format!("index '{iname}'")))?
+                    .tree = tree;
+                self.mark_touched(&format!("index:{iname}"))?;
             }
-            self.mark_touched(&format!("doc:{doc_name}"), TouchKind::Doc)?;
+            self.mark_touched(&format!("doc:{doc_name}"))?;
             Ok(n)
         })();
         if implicit {
@@ -1428,28 +1315,28 @@ impl Session {
         }
     }
 
-    fn save_doc_undo(&mut self, name: &str) -> DbResult<()> {
-        let prev = {
-            let catalog = self.db.catalog.read();
-            catalog.docs.get(name).cloned()
-        };
-        self.record_undo_doc(name, prev);
-        Ok(())
-    }
-
-    fn record_undo_doc(&mut self, name: &str, prev: Option<DocData>) {
+    /// Takes the transaction's undo copy of document `name` (`None` while
+    /// it does not exist) unless the transaction already holds one.
+    fn save_doc_undo(&mut self, name: &str) {
         if let Some(TxnState::Update { undo_docs, .. }) = &mut self.txn {
-            undo_docs.entry(name.to_string()).or_insert(prev);
+            if !undo_docs.contains_key(name) {
+                let prev = self.db.catalog.read().docs.get(name).cloned();
+                undo_docs.insert(name.to_string(), prev);
+            }
         }
     }
 
-    fn record_undo_index(&mut self, name: &str, prev: Option<IndexData>) {
+    /// [`Session::save_doc_undo`] for index `name`.
+    fn save_index_undo(&mut self, name: &str) {
         if let Some(TxnState::Update { undo_indexes, .. }) = &mut self.txn {
-            undo_indexes.entry(name.to_string()).or_insert(prev);
+            if !undo_indexes.contains_key(name) {
+                let prev = self.db.catalog.read().indexes.get(name).cloned();
+                undo_indexes.insert(name.to_string(), prev);
+            }
         }
     }
 
-    fn mark_touched(&mut self, key: &str, _kind: TouchKind) -> DbResult<()> {
+    fn mark_touched(&mut self, key: &str) -> DbResult<()> {
         if let Some(TxnState::Update { touched, .. }) = &mut self.txn {
             touched.insert(key.to_string());
             Ok(())
@@ -1487,11 +1374,6 @@ impl Drop for Session {
         // try_session}` — frees an admission-control slot.
         self.db.release_session();
     }
-}
-
-enum TouchKind {
-    Doc,
-    Index,
 }
 
 /// Index names statically referenced via `index-scan`/`index-scan-between`
@@ -1561,41 +1443,80 @@ pub(crate) fn collect_doc_names(stmt: &Statement) -> Vec<String> {
     names.into_iter().collect()
 }
 
-/// Scans one schema node's block list into node refs.
-fn scan_schema_list(
-    vas: &Vas,
-    schema: &sedna_schema::SchemaTree,
-    sid: sedna_schema::SchemaNodeId,
-) -> DbResult<Vec<NodeRef>> {
-    use sedna_storage::{block, descriptor, layout};
-    let mut out = Vec::new();
-    let mut blk = schema.node(sid).first_block;
-    while !blk.is_null() {
-        let (mut slot, dsize, next, count) = {
-            let page = vas.read(blk)?;
-            (
-                block::first_desc(&page),
-                block::block_desc_size(&page),
-                block::next_block(&page),
-                block::desc_count(&page),
-            )
-        };
-        let mut walked = 0u16;
-        while slot != layout::NO_SLOT {
-            if walked > count {
-                return Err(DbError::Storage(sedna_storage::StorageError::Corrupt(
-                    format!("corrupt in-block chain in {blk}"),
-                )));
-            }
-            walked += 1;
-            let off = block::desc_offset(slot, dsize);
-            out.push(NodeRef(blk.offset(off as u32)));
-            let page = vas.read(blk)?;
-            slot = descriptor::next_in_block(&page, off);
-        }
-        blk = next;
+fn deref(vas: &Vas, handle: XPtr) -> DbResult<NodeRef> {
+    Ok(NodeRef(indirection::deref_handle(vas, handle)?))
+}
+
+/// `node` and its ancestors up to the document node.
+fn ancestors_or_self(vas: &Vas, mode: ParentMode, node: NodeRef) -> DbResult<Vec<NodeRef>> {
+    let mut out = vec![node];
+    while let Some(parent) = out[out.len() - 1].parent(vas, mode)? {
+        out.push(parent);
     }
     Ok(out)
+}
+
+/// Every node of the subtrees behind the handles `roots`.
+fn subtree_nodes(vas: &Vas, roots: &[XPtr]) -> DbResult<Vec<NodeRef>> {
+    let mut stack = roots
+        .iter()
+        .map(|&h| deref(vas, h))
+        .collect::<DbResult<Vec<_>>>()?;
+    let mut out = Vec::new();
+    while let Some(n) = stack.pop() {
+        out.push(n);
+        if matches!(n.kind(vas)?, NodeKind::Element | NodeKind::Document) {
+            stack.extend(n.children(vas)?);
+        }
+    }
+    Ok(out)
+}
+
+/// Where an update plan can change index entries, read before it runs.
+/// Returns its *anchors* — nodes that hold every change in their
+/// subtrees: the target of an insert-into or a replace, the target's
+/// parent otherwise — then the roots of the subtrees it deletes or
+/// replaces, then the anchors that survive it (a delete can take the
+/// anchor of another of its targets with it).
+fn update_anchors<'p>(
+    vas: &Vas,
+    mode: ParentMode,
+    plan: &'p UpdatePlan,
+) -> DbResult<(Vec<XPtr>, &'p [XPtr], Vec<XPtr>)> {
+    let parents = |targets: &[XPtr]| -> DbResult<Vec<XPtr>> {
+        let mut out = Vec::new();
+        for &t in targets {
+            if let Some(parent) = deref(vas, t)?.parent(vas, mode)? {
+                out.push(parent.handle(vas)?);
+            }
+        }
+        Ok(out)
+    };
+    let (anchors, roots) = match plan {
+        UpdatePlan::Insert {
+            pos: InsertPos::Into,
+            targets,
+            ..
+        } => (targets.clone(), &[][..]),
+        UpdatePlan::Insert { targets, .. } => (parents(targets)?, &[][..]),
+        UpdatePlan::Delete { targets } => (parents(targets)?, &targets[..]),
+        UpdatePlan::ReplaceValue { targets, .. } => (targets.clone(), &targets[..]),
+    };
+    let UpdatePlan::Delete { targets } = plan else {
+        return Ok((anchors.clone(), roots, anchors));
+    };
+    let deleted = targets
+        .iter()
+        .map(|&t| deref(vas, t))
+        .collect::<DbResult<HashSet<_>>>()?;
+    let mut survivors = Vec::new();
+    for &a in &anchors {
+        let chain = ancestors_or_self(vas, mode, deref(vas, a)?)?;
+        if !chain.iter().any(|n| deleted.contains(n)) {
+            survivors.push(a);
+        }
+    }
+    Ok((anchors, roots, survivors))
 }
 
 /// Frees every page belonging to a document: all schema-node block lists,

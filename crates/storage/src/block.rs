@@ -7,10 +7,13 @@
 //! free lists, so descriptors never shift — "fixed size facilitates more
 //! efficient management of free space in blocks" (Section 4.1).
 
-use sedna_sas::XPtr;
+use sedna_sas::{Vas, XPtr};
 use sedna_schema::SchemaNodeId;
 
+use crate::descriptor::next_in_block;
+use crate::error::{StorageError, StorageResult};
 use crate::layout::*;
+use crate::node::NodeRef;
 use crate::util::*;
 
 /// Initializes a zeroed page as a node block for `schema` with
@@ -89,6 +92,37 @@ pub fn desc_offset(slot: u16, desc_size: u16) -> usize {
 #[inline]
 pub fn indir_offset(page_size: usize, idx: u16) -> usize {
     page_size - 8 * (idx as usize + 1)
+}
+
+/// Walks one block of a schema node's list: calls `visit` with each
+/// descriptor in in-block chain (document) order and returns the next
+/// block of the list (null at the end). One page read for the header,
+/// then one per descriptor — the structural scan's hot loop. A chain
+/// longer than the block's descriptor count is a cycle and fails.
+pub fn scan_block(vas: &Vas, blk: XPtr, mut visit: impl FnMut(NodeRef)) -> StorageResult<XPtr> {
+    let (mut slot, dsize, next, count) = {
+        let page = vas.read(blk)?;
+        (
+            first_desc(&page),
+            block_desc_size(&page),
+            next_block(&page),
+            desc_count(&page),
+        )
+    };
+    let mut walked = 0u16;
+    while slot != NO_SLOT {
+        if walked > count {
+            return Err(StorageError::Corrupt(format!(
+                "corrupt in-block chain in {blk} (cycle suspected)"
+            )));
+        }
+        walked += 1;
+        let off = desc_offset(slot, dsize);
+        visit(NodeRef(blk.offset(off as u32)));
+        let page = vas.read(blk)?;
+        slot = next_in_block(&page, off);
+    }
+    Ok(next)
 }
 
 /// Whether a page currently has room for one more descriptor.

@@ -21,6 +21,7 @@ use sedna_schema::{NodeKind, SchemaName, SchemaNodeId, SchemaTree};
 use sedna_storage::{block, indirection, DocStorage, NodeRef};
 
 use crate::ast::*;
+use crate::cost::schema_step;
 use crate::error::{QueryError, QueryResult};
 use crate::value::*;
 
@@ -819,28 +820,11 @@ impl<'a> Executor<'a> {
     /// Resolves a structural path to the schema nodes whose block lists
     /// hold the result (the schema-level half of §5.1.4).
     pub(crate) fn structural_sids(&self, doc: usize, steps: &[Step]) -> Vec<SchemaNodeId> {
-        let schema = self.db.docs[doc].schema;
         let schema_steps: Vec<sedna_schema::PathStep> = steps
             .iter()
-            .map(|s| sedna_schema::PathStep {
-                axis: match s.axis {
-                    Axis::Child => sedna_schema::SchemaAxis::Child,
-                    Axis::Descendant => sedna_schema::SchemaAxis::Descendant,
-                    Axis::DescendantOrSelf => sedna_schema::SchemaAxis::DescendantOrSelf,
-                    Axis::Attribute => sedna_schema::SchemaAxis::Attribute,
-                    _ => unreachable!("rewriter only extracts descending axes"),
-                },
-                test: match &s.test {
-                    NodeTest::Name(n) => sedna_schema::SchemaTest::Name(n.clone()),
-                    NodeTest::Wildcard => sedna_schema::SchemaTest::AnyName,
-                    NodeTest::Text => sedna_schema::SchemaTest::Text,
-                    NodeTest::Comment => sedna_schema::SchemaTest::Comment,
-                    NodeTest::Pi(_) => sedna_schema::SchemaTest::Pi,
-                    NodeTest::AnyKind => sedna_schema::SchemaTest::AnyKind,
-                },
-            })
+            .map(|s| schema_step(s).expect("rewriter only extracts descending axes"))
             .collect();
-        sedna_schema::path::eval_structural_path(schema, &schema_steps)
+        sedna_schema::path::eval_structural_path(self.db.docs[doc].schema, &schema_steps)
     }
 
     /// The head of a schema node's block list (null when the list is
@@ -858,34 +842,11 @@ impl<'a> Executor<'a> {
         blk: sedna_sas::XPtr,
         out: &mut Sequence,
     ) -> QueryResult<sedna_sas::XPtr> {
-        let vas = self.db.vas;
-        let (mut slot, dsize, next, count) = {
-            let page = vas.read(blk)?;
-            (
-                block::first_desc(&page),
-                block::block_desc_size(&page),
-                block::next_block(&page),
-                block::desc_count(&page),
-            )
-        };
-        let mut walked = 0u16;
-        while slot != sedna_storage::layout::NO_SLOT {
-            if walked > count {
-                return Err(QueryError::Dynamic(format!(
-                    "corrupt in-block chain in {blk} (cycle suspected)"
-                )));
-            }
-            walked += 1;
-            let off = block::desc_offset(slot, dsize);
-            out.push(Item::Node(NodeId::Stored {
-                doc,
-                node: NodeRef(blk.offset(off as u32)),
-            }));
-            self.stats.nodes_scanned += 1;
-            let page = vas.read(blk)?;
-            slot = sedna_storage::descriptor::next_in_block(&page, off);
-        }
-        Ok(next)
+        let stats = &mut self.stats;
+        Ok(block::scan_block(self.db.vas, blk, |node| {
+            out.push(Item::Node(NodeId::Stored { doc, node }));
+            stats.nodes_scanned += 1;
+        })?)
     }
 
     /// Scans a schema node's block list in document order.

@@ -55,7 +55,7 @@ pub use cursor::{OpProfile, Plan};
 pub use error::{QueryError, QueryResult};
 pub use exec::{ConstructMode, Database, DocEntry, ExecState, ExecStats, Executor};
 pub use planner::{plan_statement, AccessPath, IndexSpec, PlanDecision, PlannerInput};
-pub use update::{apply_update, plan_update_with_stats, UpdateTarget};
+pub use update::plan_update_with_stats;
 pub use value::{Atom, Item, Sequence};
 
 /// Parses, analyses, and rewrites a statement — the front half of the

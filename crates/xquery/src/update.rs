@@ -96,7 +96,7 @@ pub fn plan_update_with_stats(
             let content_seq = ex.eval_entry(what)?;
             let content = materialize(&ex, &content_seq)?;
             let target_seq = ex.eval_entry(target)?;
-            let (doc, targets) = targets_to_handles(&ex, db, &target_seq)?;
+            let (doc, targets) = targets_to_handles(db, &target_seq)?;
             (
                 doc,
                 UpdatePlan::Insert {
@@ -108,7 +108,7 @@ pub fn plan_update_with_stats(
         }
         UpdateStmt::Delete { target } => {
             let target_seq = ex.eval_entry(target)?;
-            let (doc, targets) = targets_to_handles(&ex, db, &target_seq)?;
+            let (doc, targets) = targets_to_handles(db, &target_seq)?;
             (doc, UpdatePlan::Delete { targets })
         }
         UpdateStmt::ReplaceValue { target, with } => {
@@ -118,19 +118,14 @@ pub fn plan_update_with_stats(
                 Some(item) => ex.atomize_item(item)?.to_string_value(),
             };
             let target_seq = ex.eval_entry(target)?;
-            let (doc, targets) = targets_to_handles(&ex, db, &target_seq)?;
+            let (doc, targets) = targets_to_handles(db, &target_seq)?;
             (doc, UpdatePlan::ReplaceValue { targets, value })
         }
     };
     Ok((doc, plan, ex.stats))
 }
 
-fn targets_to_handles(
-    ex: &Executor,
-    db: &Database,
-    seq: &[Item],
-) -> QueryResult<(usize, Vec<XPtr>)> {
-    let _ = ex;
+fn targets_to_handles(db: &Database, seq: &[Item]) -> QueryResult<(usize, Vec<XPtr>)> {
     let mut doc_idx: Option<usize> = None;
     let mut handles = Vec::with_capacity(seq.len());
     for item in seq {
@@ -377,34 +372,3 @@ fn insert_owned(
     }
     Ok(handle)
 }
-
-/// One-call convenience used by the database core: plan against `db`,
-/// then the caller re-invokes [`execute_plan`] with mutable storage.
-pub struct UpdateTarget;
-
-/// Plans and applies in one step when the caller can provide both the
-/// read view and the mutable storage of the (single) target document.
-/// `doc_idx` must identify `schema`/`doc` within the view used to build
-/// `db` — verified against the plan.
-pub fn apply_update(
-    stmt: &Statement,
-    db: &Database,
-    doc_idx: usize,
-    vas: &Vas,
-    schema: &mut SchemaTree,
-    doc: &mut DocStorage,
-) -> QueryResult<usize> {
-    let (planned_doc, plan) = plan_update(stmt, db)?;
-    if planned_doc != doc_idx {
-        return Err(QueryError::Dynamic(format!(
-            "update targets document #{planned_doc}, but mutable access was provided for #{doc_idx}"
-        )));
-    }
-    Ok(execute_plan(&plan, vas, schema, doc)?.affected)
-}
-
-// Silence the unused-type lint gracefully: UpdateTarget is part of the
-// public API surface for naming symmetry.
-const _: () = {
-    let _ = std::mem::size_of::<UpdateTarget>;
-};
