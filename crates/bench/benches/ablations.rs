@@ -1,7 +1,6 @@
 //! Design-choice ablations called out in DESIGN.md:
 //! page size, buffer-pool size, and lock granularity (document vs the
-//! finer-granularity subtree extension). The buffer-shard ablation is
-//! `report buffer`.
+//! finer-granularity subtree extension).
 //!
 //! Run with `cargo bench -p sedna-bench --bench ablations`; each line is
 //! the mean wall time of one iteration.

@@ -27,23 +27,16 @@ fn ratio(a: Duration, b: Duration) -> f64 {
 }
 
 fn main() {
-    // `report buffer` runs only the buffer-shard ablation (rewriting
-    // BENCH_buffer.json); `report net` runs only the network client
-    // sweep (rewriting BENCH_net.json); `report exec` runs only the
-    // streaming-executor comparison (rewriting BENCH_exec.json);
-    // `report obs` runs only the tracing-overhead sweep (rewriting
-    // BENCH_obs.json); `report plan` runs only the planner ablation
-    // (rewriting BENCH_plan.json); `report fork` runs only the
-    // copy-on-write forking sweep (rewriting BENCH_fork.json); no
-    // argument runs everything.
+    // `report net` runs only the network client sweep (rewriting
+    // BENCH_net.json); `report exec` runs only the streaming-executor
+    // comparison (rewriting BENCH_exec.json); `report obs` runs only the
+    // tracing-overhead sweep (rewriting BENCH_obs.json); `report plan`
+    // runs only the planner ablation (rewriting BENCH_plan.json);
+    // `report fork` runs only the copy-on-write forking sweep (rewriting
+    // BENCH_fork.json); no argument runs everything.
     let args: Vec<String> = std::env::args().collect();
     let only = |name: &str| args.iter().any(|a| a == name);
-    let filtered = only("buffer")
-        || only("net")
-        || only("exec")
-        || only("obs")
-        || only("plan")
-        || only("fork");
+    let filtered = only("net") || only("exec") || only("obs") || only("plan") || only("fork");
     println!("# Sedna reproduction — experiment report");
     println!("# (cargo run --release -p sedna-bench --bin report)");
     println!();
@@ -61,9 +54,6 @@ fn main() {
         e11_recovery();
         e12_hot_backup();
     }
-    if !filtered || only("buffer") {
-        bench_buffer();
-    }
     if !filtered || only("net") {
         bench_net();
     }
@@ -80,259 +70,6 @@ fn main() {
         bench_fork();
     }
     println!("# done");
-}
-
-// ------------------------------------------------------------------
-// Buffer — sharded pool concurrent-lookup ablation (tentpole PR)
-// ------------------------------------------------------------------
-
-/// One measured configuration of the lookup benchmark.
-struct BufferBenchRow {
-    mode: &'static str,
-    shards: usize,
-    threads: usize,
-    ops_per_sec: f64,
-    ns_per_lookup: f64,
-}
-
-/// Warm-pool page lookups from `threads` threads for a fixed wall-clock
-/// window. `global_lock` serializes every lookup behind one external
-/// mutex — the pre-sharding pool protocol, kept as the ablation
-/// baseline.
-fn run_lookup_bench(shards: usize, threads: usize, global_lock: bool) -> (f64, f64) {
-    use sedna_sas::{BufferPool, MemPageStore, PageStore};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Barrier, Mutex};
-
-    const PS: usize = 4096;
-    const FRAMES: usize = 1024;
-    const PAGES: usize = 512;
-    const WINDOW: Duration = Duration::from_millis(250);
-
-    let pool = Arc::new(BufferPool::with_shards(FRAMES, PS, shards));
-    let store = Arc::new(MemPageStore::new(PS));
-    let mut pages = Vec::new();
-    for i in 0..PAGES {
-        let page = XPtr::new(0, ((i + 1) * PS) as u32);
-        let phys = store.alloc().unwrap();
-        let fref = pool.acquire_fresh(page, phys, store.as_ref()).unwrap();
-        drop(fref);
-        pages.push((page, phys));
-    }
-    let pages = Arc::new(pages);
-    let serializer = Arc::new(Mutex::new(()));
-    let gate = Arc::new(Barrier::new(threads + 1));
-    let stop = Arc::new(AtomicBool::new(false));
-    let total = Arc::new(AtomicU64::new(0));
-
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let pool = Arc::clone(&pool);
-            let store = Arc::clone(&store);
-            let pages = Arc::clone(&pages);
-            let serializer = Arc::clone(&serializer);
-            let gate = Arc::clone(&gate);
-            let stop = Arc::clone(&stop);
-            let total = Arc::clone(&total);
-            std::thread::spawn(move || {
-                let mut x = (t as u64 + 1) * 0x9E37_79B9_7F4A_7C15;
-                let mut ops = 0u64;
-                gate.wait();
-                // relaxed: a plain stop flag; no data is published through it.
-                while !stop.load(Ordering::Relaxed) {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let (page, phys) = pages[(x % PAGES as u64) as usize];
-                    if global_lock {
-                        let _g = serializer.lock().unwrap();
-                        let fref = pool.acquire(page, phys, store.as_ref()).unwrap();
-                        let r = pool.try_read(&fref, phys).unwrap();
-                        std::hint::black_box(r.bytes()[0]);
-                    } else {
-                        let fref = pool.acquire(page, phys, store.as_ref()).unwrap();
-                        let r = pool.try_read(&fref, phys).unwrap();
-                        std::hint::black_box(r.bytes()[0]);
-                    }
-                    ops += 1;
-                }
-                // relaxed: throughput tally only; the final value is read after the threads join.
-                total.fetch_add(ops, Ordering::Relaxed);
-            })
-        })
-        .collect();
-    gate.wait();
-    let t = Instant::now();
-    std::thread::sleep(WINDOW);
-    // relaxed: a plain stop flag; no data is published through it.
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().unwrap();
-    }
-    let elapsed = t.elapsed().as_secs_f64();
-    // relaxed: throughput tally only; the final value is read after the threads join.
-    let ops = total.load(Ordering::Relaxed) as f64;
-    let ops_per_sec = ops / elapsed;
-    let ns_per_lookup = elapsed * 1e9 * threads as f64 / ops.max(1.0);
-    (ops_per_sec, ns_per_lookup)
-}
-
-/// E10-style DB-level sweep: snapshot readers next to one updater, with
-/// the pool shard count varied through `DbConfig`.
-fn run_db_reader_sweep(shards: usize) -> f64 {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    const WINDOW: Duration = Duration::from_millis(400);
-    let cfg = sedna::DbConfig {
-        buffer_shards: shards,
-        ..sedna::DbConfig::small()
-    };
-    let tmp = TempDb::new(&format!("buffer-db-{shards}"), cfg);
-    let mut s = tmp.db.session();
-    s.execute("CREATE DOCUMENT 'lib'").unwrap();
-    s.load_xml("lib", &sedna_workload::library(200, 29))
-        .unwrap();
-    drop(s);
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let reads = Arc::new(AtomicU64::new(0));
-    let readers: Vec<_> = (0..4)
-        .map(|_| {
-            let db = tmp.db.clone();
-            let stop = Arc::clone(&stop);
-            let reads = Arc::clone(&reads);
-            std::thread::spawn(move || {
-                let mut s = db.session();
-                // relaxed: a plain stop flag; no data is published through it.
-                while !stop.load(Ordering::Relaxed) {
-                    s.begin_read_only().unwrap();
-                    let r = s.query("count(doc('lib')//book)");
-                    let _ = s.commit();
-                    if r.is_ok() {
-                        // relaxed: throughput tally only; the final value is read after the threads join.
-                        reads.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            })
-        })
-        .collect();
-    let db = tmp.db.clone();
-    let stop_w = Arc::clone(&stop);
-    let writer = std::thread::spawn(move || {
-        let mut s = db.session();
-        let mut i = 0;
-        // relaxed: a plain stop flag; no data is published through it.
-        while !stop_w.load(Ordering::Relaxed) {
-            s.begin_update().unwrap();
-            s.execute(&format!(
-                "UPDATE insert <book><title>S{i}</title></book> into doc('lib')/library"
-            ))
-            .unwrap();
-            s.commit().unwrap();
-            i += 1;
-        }
-    });
-    let t = Instant::now();
-    std::thread::sleep(WINDOW);
-    // relaxed: a plain stop flag; no data is published through it.
-    stop.store(true, Ordering::Relaxed);
-    for r in readers {
-        r.join().unwrap();
-    }
-    writer.join().unwrap();
-    // relaxed: throughput tally only; the final value is read after the threads join.
-    reads.load(Ordering::Relaxed) as f64 / t.elapsed().as_secs_f64()
-}
-
-fn bench_buffer() {
-    println!("## Buffer — sharded pool concurrent-lookup ablation");
-    println!("warm pool (1024 frames, 512-page working set), random lookups;");
-    println!("global_lock = every lookup behind one mutex (the pre-sharding protocol)");
-
-    let mut rows = Vec::new();
-    for &threads in &[1usize, 2, 4, 8] {
-        let (ops, ns) = run_lookup_bench(1, threads, true);
-        rows.push(BufferBenchRow {
-            mode: "global_lock",
-            shards: 1,
-            threads,
-            ops_per_sec: ops,
-            ns_per_lookup: ns,
-        });
-    }
-    for &shards in &[1usize, 2, 4, 8] {
-        for &threads in &[1usize, 2, 4, 8] {
-            let (ops, ns) = run_lookup_bench(shards, threads, false);
-            rows.push(BufferBenchRow {
-                mode: "sharded",
-                shards,
-                threads,
-                ops_per_sec: ops,
-                ns_per_lookup: ns,
-            });
-        }
-    }
-    println!(
-        "{:<12} {:>6} {:>8} {:>14} {:>12}",
-        "mode", "shards", "threads", "ops/sec", "ns/lookup"
-    );
-    for r in &rows {
-        println!(
-            "{:<12} {:>6} {:>8} {:>14.0} {:>12.1}",
-            r.mode, r.shards, r.threads, r.ops_per_sec, r.ns_per_lookup
-        );
-    }
-    let base8 = rows
-        .iter()
-        .find(|r| r.mode == "global_lock" && r.threads == 8)
-        .map(|r| r.ops_per_sec)
-        .unwrap_or(1.0);
-    let best8 = rows
-        .iter()
-        .filter(|r| r.mode == "sharded" && r.threads == 8)
-        .map(|r| r.ops_per_sec)
-        .fold(0.0f64, f64::max);
-    println!(
-        "8-thread speedup over global lock: {:.2}x",
-        best8 / base8.max(1.0)
-    );
-
-    let mut db_rows = Vec::new();
-    for &shards in &[1usize, 2, 4, 8] {
-        let rps = run_db_reader_sweep(shards);
-        println!("E10 snapshot readers, buffer_shards={shards}: {rps:.0} reader txns/sec");
-        db_rows.push((shards, rps));
-    }
-
-    // Machine-readable trajectory record (hand-rolled JSON, no deps).
-    let mut json = String::from("{\n  \"experiment\": \"buffer_shard_ablation\",\n");
-    json.push_str("  \"page_size\": 4096,\n  \"frames\": 1024,\n  \"working_set_pages\": 512,\n");
-    json.push_str("  \"lookup_sweep\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"shards\": {}, \"threads\": {}, \"ops_per_sec\": {:.0}, \"ns_per_lookup\": {:.1}}}{}\n",
-            r.mode,
-            r.shards,
-            r.threads,
-            r.ops_per_sec,
-            r.ns_per_lookup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"e10_db_readers\": [\n");
-    for (i, (shards, rps)) in db_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"shards\": {}, \"reader_txns_per_sec\": {:.0}}}{}\n",
-            shards,
-            rps,
-            if i + 1 < db_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_buffer.json", &json).unwrap();
-    println!("wrote BENCH_buffer.json");
-    println!();
 }
 
 // ------------------------------------------------------------------
@@ -1093,7 +830,6 @@ fn e2_pointer_deref() {
         page_size,
         layer_size: (page_size as u64) * 1024,
         buffer_frames: 2048,
-        buffer_shards: 0,
     })
     .unwrap();
     let vas = sas.session();

@@ -35,7 +35,6 @@ pub fn fixture(xml: &str, page_size: usize, frames: usize, mode: ParentMode) -> 
         page_size,
         layer_size: (page_size as u64 * 16384).min(1 << 31),
         buffer_frames: frames,
-        buffer_shards: 0,
     })
     .expect("valid config");
     let vas = sas.session();

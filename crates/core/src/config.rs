@@ -15,13 +15,10 @@ pub struct DbConfig {
     pub layer_size: u64,
     /// Buffer-pool frames.
     pub buffer_frames: usize,
-    /// Buffer-pool page-table shards. `0` selects the default (next power
-    /// of two ≥ the machine's cores); other values are rounded up to a
-    /// power of two and clamped so every shard owns at least one frame.
-    pub buffer_shards: usize,
-    /// Capacity of the database-wide plan cache (parse+rewrite results
-    /// keyed by statement text, valid for one catalog generation and
-    /// statistics epoch, LRU-evicted). `0` disables caching.
+    /// Capacity of the database-wide plan cache: it holds at most this
+    /// many parse+rewrite results, keyed by statement text, valid for one
+    /// catalog generation and statistics epoch, LRU-evicted. `0` disables
+    /// caching.
     pub plan_cache_capacity: usize,
     /// Admission-controlled session limit enforced by
     /// [`Database::try_session`] (the entry point the network layer
@@ -85,7 +82,6 @@ impl Default for DbConfig {
             page_size: 16 * 1024,
             layer_size: 16 * 1024 * 1024,
             buffer_frames: 1024,
-            buffer_shards: 0,
             plan_cache_capacity: 64,
             max_sessions: 0,
             parent_mode: ParentMode::Indirect,

@@ -213,10 +213,9 @@ pub(crate) struct DbInner {
     pub(crate) stats_epoch: StatsEpoch,
     /// The database-wide plan cache: a statement compiled by one
     /// connection is reused by every other until the catalog generation
-    /// or statistics epoch moves. Sharded by statement-text hash so pipelined
-    /// statements compiling on different workers don't serialize; each
-    /// shard lock is held briefly around get/insert only — never across
-    /// parse or execution. Per family member: a fork never shares
+    /// or statistics epoch moves. One mutex over one LRU of
+    /// `plan_cache_capacity` plans, held around get/insert only — never
+    /// across parse or execution. Per family member: a fork never shares
     /// compiled plans (or their generation/stats epochs) with its parent.
     pub(crate) shared_plans: SharedPlanCache,
     /// Ring of recently kept query traces (see [`DbConfig::trace_sample`]).
@@ -318,7 +317,6 @@ impl Database {
             page_size: cfg.page_size,
             layer_size: cfg.layer_size,
             buffer_frames: cfg.buffer_frames,
-            buffer_shards: cfg.buffer_shards,
         }
     }
 

@@ -102,7 +102,7 @@ impl QueryMetrics {
         );
         reg.register_counter(
             "sedna_plan_cache_shared_lock_waits_total",
-            "Plan-cache lookups that had to block on a contended shard lock",
+            "Plan-cache lookups that had to block on the contended cache lock",
             &self.plan_cache_shared_lock_waits,
         );
         reg.register_counter(

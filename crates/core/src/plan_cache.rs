@@ -3,9 +3,10 @@
 //! The profiler (PR 1) shows every repeated statement paying the parse
 //! and static-analysis/rewrite phases again even though both are pure
 //! functions of (statement text, catalog). This module caches the
-//! *rewritten* [`Statement`] per statement text in a bounded, sharded
-//! LRU shared by every session of the database, so a statement compiled
-//! by one connection skips straight to the executor on all of them.
+//! *rewritten* [`Statement`] per statement text in one bounded LRU
+//! behind one mutex, shared by every session of the database, so a
+//! statement compiled by one connection skips straight to the executor
+//! on all of them.
 //!
 //! Invalidation contract: every entry is stamped with a [`PlanKey`] —
 //! the **catalog generation** (bumped by every catalog-shape change:
@@ -19,7 +20,6 @@
 //! counters are shared database state.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 
 use sedna_obs::Counter;
 use sedna_sync::{Mutex, MutexGuard};
@@ -36,8 +36,8 @@ pub(crate) struct PlanKey {
     pub(crate) stats_epoch: u64,
 }
 
-/// One shard of the plan cache: a bounded LRU mapping statement text to
-/// its parse+rewrite result, validity-stamped with a [`PlanKey`].
+/// The plan cache proper: a bounded LRU mapping statement text to its
+/// parse+rewrite result, validity-stamped with a [`PlanKey`].
 ///
 /// Recency is tracked with a monotonic sequence number per entry;
 /// eviction scans for the minimum. Capacities are small (default 64),
@@ -121,74 +121,52 @@ impl PlanCache {
     }
 }
 
-/// Number of independently locked shards of a [`SharedPlanCache`].
-/// Fixed: contention scales with concurrently *compiling* sessions, not
-/// data volume, and 8 shards already pushes the collision probability
-/// for a worker-pool's worth of concurrent lookups below 1-in-2.
-const SHARD_COUNT: usize = 8;
-
-/// The database-wide plan cache: [`PlanCache`] sharded by a hash
-/// of the statement text so pipelined statements arriving on different
-/// worker threads don't serialize on one mutex. Each shard is an
-/// independent LRU over its slice of the key space; the per-shard
-/// capacity divides the configured total.
+/// The database-wide plan cache: one [`PlanCache`] of the configured
+/// capacity behind one mutex, held around get/insert only.
 ///
-/// Contention is observable: a lookup that cannot take its shard lock
+/// Contention is observable: a lookup that cannot take the lock
 /// immediately counts one `sedna_plan_cache_shared_lock_waits_total`
 /// before blocking.
 #[derive(Debug)]
 pub(crate) struct SharedPlanCache {
-    shards: Box<[Mutex<PlanCache>]>,
+    cache: Mutex<PlanCache>,
     lock_waits: Counter,
 }
 
 impl SharedPlanCache {
-    /// Creates a cache holding at most ~`capacity` plans across
-    /// [`SHARD_COUNT`] shards (0 disables it).
+    /// Creates a cache holding at most `capacity` plans (0 disables it).
     pub(crate) fn new(capacity: usize, lock_waits: Counter) -> SharedPlanCache {
-        let per_shard = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(SHARD_COUNT).max(1)
-        };
-        let shards = (0..SHARD_COUNT)
-            .map(|_| Mutex::new(PlanCache::new(per_shard)))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        SharedPlanCache { shards, lock_waits }
+        SharedPlanCache {
+            cache: Mutex::new(PlanCache::new(capacity)),
+            lock_waits,
+        }
     }
 
-    fn shard(&self, text: &str) -> &Mutex<PlanCache> {
-        let h = BuildHasherDefault::<DefaultHasher>::default().hash_one(text);
-        &self.shards[(h as usize) % SHARD_COUNT]
-    }
-
-    /// Locks the statement's shard, counting the acquisition as a wait
-    /// when it cannot be taken immediately.
-    fn lock_shard(&self, text: &str) -> MutexGuard<'_, PlanCache> {
-        let shard = self.shard(text);
-        match shard.try_lock() {
+    /// Locks the cache, counting the acquisition as a wait when it cannot
+    /// be taken immediately.
+    fn lock(&self) -> MutexGuard<'_, PlanCache> {
+        match self.cache.try_lock() {
             Some(guard) => guard,
             None => {
                 self.lock_waits.inc();
-                shard.lock()
+                self.cache.lock()
             }
         }
     }
 
-    /// Sharded [`PlanCache::get`].
+    /// Locked [`PlanCache::get`].
     pub(crate) fn get(&self, text: &str, key: PlanKey) -> Option<Statement> {
-        self.lock_shard(text).get(text, key)
+        self.lock().get(text, key)
     }
 
-    /// Sharded [`PlanCache::insert`].
+    /// Locked [`PlanCache::insert`].
     pub(crate) fn insert(&self, text: &str, key: PlanKey, stmt: Statement) {
-        self.lock_shard(text).insert(text, key, stmt);
+        self.lock().insert(text, key, stmt);
     }
 
-    /// Total cached plans across all shards (tests/diagnostics).
+    /// Number of cached plans (tests/diagnostics).
     pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.cache.lock().len()
     }
 }
 
@@ -281,32 +259,24 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_roundtrips_across_shards() {
-        let c = SharedPlanCache::new(64, Counter::new());
-        // Enough distinct texts to land in several shards.
-        let texts: Vec<String> = (0..32).map(|i| format!("{i} + {i}")).collect();
+    fn shared_cache_holds_exactly_its_capacity() {
+        let c = SharedPlanCache::new(2, Counter::new());
+        let texts: Vec<String> = (0..20).map(|i| format!("{i} + {i}")).collect();
         for t in &texts {
             c.insert(t, key(0), stmt(t));
         }
-        assert_eq!(c.len(), 32);
-        for t in &texts {
+        assert_eq!(c.len(), 2);
+        // The two most recent statements are the ones kept.
+        for t in &texts[18..] {
             assert_eq!(c.get(t, key(0)), Some(stmt(t)));
         }
-        // Stale-key eviction still works through the sharding.
-        assert_eq!(c.get(&texts[0], key(1)), None);
-        assert_eq!(c.len(), 31);
+        // Stale-key eviction works through the shared wrapper.
+        assert_eq!(c.get(&texts[19], key(1)), None);
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
-    fn sharded_cache_zero_capacity_disables() {
-        let c = SharedPlanCache::new(0, Counter::new());
-        c.insert("a", key(0), stmt("1"));
-        assert_eq!(c.len(), 0);
-        assert!(c.get("a", key(0)).is_none());
-    }
-
-    #[test]
-    fn sharded_cache_counts_contended_lookups() {
+    fn shared_cache_counts_contended_lookups() {
         use sedna_sync::atomic::{AtomicBool, Ordering};
 
         let waits = Counter::new();
@@ -315,14 +285,13 @@ mod tests {
         // Uncontended traffic never touches the wait counter.
         assert!(c.get("a", key(0)).is_some());
         assert_eq!(waits.get(), 0);
-        // Hold one shard's lock from another thread: a lookup hashing to
-        // that shard must count a wait (and still complete). The holder
-        // releases only after it has seen the wait recorded, so the
-        // assertion is race-free.
+        // Hold the lock from another thread: a lookup must count a wait
+        // (and still complete). The holder releases only after it has
+        // seen the wait recorded, so the assertion is race-free.
         let locked = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
-                let guard = c.lock_shard("a");
+                let guard = c.lock();
                 locked.store(true, Ordering::Release);
                 while waits.get() == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(1));

@@ -295,6 +295,17 @@ fn value_index_lifecycle_and_maintenance() {
             .unwrap(),
         "1"
     );
+    // A key argument that is not exactly one item is a query error, not a
+    // panic that would take a server worker down with it.
+    for q in [
+        "index-of((1, 2), ())",
+        "index-scan('bytitle', ())",
+        "index-scan-between('byyear', (), 2010)",
+        "index-scan-between('byyear', 2000, ())",
+    ] {
+        let err = s.query(q).unwrap_err().to_string();
+        assert!(err.contains("single key value"), "{q}: {err}");
+    }
     // Drop.
     s.execute("DROP INDEX 'bytitle'").unwrap();
     assert!(s.query("index-scan('bytitle', 'x')").is_err());

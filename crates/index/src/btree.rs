@@ -552,7 +552,6 @@ mod tests {
             page_size: 512,
             layer_size: 512 * 4096,
             buffer_frames: 4096,
-            buffer_shards: 0,
         })
         .unwrap();
         let vas = sas.session();

@@ -561,14 +561,11 @@ mod tests {
     #[test]
     fn r4_catches_both_drift_directions() {
         let doc = "| `sedna_buffer_hits_total` | counter |\n\
-                   | `sedna_buffer_shard_<i>_resident` | gauge |\n\
+                   | `sedna_worker_<i>_busy` | gauge |\n\
                    | `sedna_wal_ghost_total` | counter |\n";
         let code = vec![
             ("a.rs".to_string(), "sedna_buffer_hits_total".to_string()),
-            (
-                "a.rs".to_string(),
-                "sedna_buffer_shard_{i}_resident".to_string(),
-            ),
+            ("a.rs".to_string(), "sedna_worker_{i}_busy".to_string()),
             ("b.rs".to_string(), "sedna_undocumented_total".to_string()),
         ];
         let f = r4_metric_drift(&code, doc);
@@ -617,18 +614,9 @@ mod tests {
 
     #[test]
     fn wildcard_covering() {
-        assert!(covers(
-            "sedna_buffer_shard_*_resident",
-            "sedna_buffer_shard_3_resident"
-        ));
-        assert!(covers(
-            "sedna_buffer_shard_*_resident",
-            "sedna_buffer_shard_*_resident"
-        ));
-        assert!(!covers(
-            "sedna_buffer_shard_*_resident",
-            "sedna_buffer_shard__resident"
-        ));
+        assert!(covers("sedna_worker_*_busy", "sedna_worker_3_busy"));
+        assert!(covers("sedna_worker_*_busy", "sedna_worker_*_busy"));
+        assert!(!covers("sedna_worker_*_busy", "sedna_worker__busy"));
         assert!(!covers("sedna_a_*_total", "sedna_b_1_total"));
         assert!(!covers("sedna_exact", "sedna_exact_longer"));
     }
@@ -636,8 +624,8 @@ mod tests {
     #[test]
     fn metric_name_extraction() {
         assert_eq!(
-            metric_names("reg(\"sedna_x_total\") and `sedna_shard_{i}_y`"),
-            vec!["sedna_x_total", "sedna_shard_{i}_y"]
+            metric_names("reg(\"sedna_x_total\") and `sedna_worker_{i}_y`"),
+            vec!["sedna_x_total", "sedna_worker_{i}_y"]
         );
         // Bare prefixes (format-string stems) are dropped.
         assert!(metric_names("\"sedna_\"").is_empty());

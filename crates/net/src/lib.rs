@@ -12,8 +12,8 @@
 //!   `Cancel`, and item-at-a-time result streaming (`FetchNext`), plus
 //!   a structured error envelope;
 //! * [`server`] — the non-blocking readiness-loop listener: one event
-//!   thread owns every socket (epoll/poll via an internal poller
-//!   abstraction), parses frames incrementally, and feeds a bounded
+//!   thread owns every socket (epoll-only, so the crate builds on Linux
+//!   only), parses frames incrementally, and feeds a bounded
 //!   worker pool; supports per-connection request pipelining with
 //!   in-order responses, admission control, and graceful
 //!   drain-to-checkpoint shutdown;

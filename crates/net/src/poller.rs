@@ -1,6 +1,7 @@
 //! A minimal readiness poller: the one OS-facing corner of the event
-//! loop (`epoll(7)` on Linux, portable `poll(2)` elsewhere), with a
-//! self-wake channel so other threads can interrupt a blocked wait.
+//! loop, with a self-wake channel so other threads can interrupt a
+//! blocked wait. The event loop is epoll-only (`epoll(7)`), so this crate
+//! builds on Linux only.
 //!
 //! The abstraction is deliberately tiny — register / rearm / deregister
 //! / wait / wake — because the server's event thread is the only
@@ -10,11 +11,10 @@
 //! connections a cost of N kernel registrations and zero syscalls per
 //! poll tick, which is the whole point of the readiness rebuild (the
 //! old server burned one `read` timeout per idle connection per tick).
-//!
-//! The `poll(2)` backend is compiled (and unit-tested) on every
-//! platform so the non-Linux path can never rot; Linux builds merely
-//! don't select it as [`Poller`].
 #![allow(unsafe_code)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("the sedna-net event loop is epoll-only: it builds on Linux only");
 
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
@@ -25,19 +25,10 @@ use std::time::Duration;
 /// them (`<poll.h>`, `<sys/epoll.h>`, `<unistd.h>`); std already links
 /// the C library that provides them.
 #[allow(non_camel_case_types)]
-#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
 mod sys {
-    pub(super) use std::ffi::{c_int, c_short};
+    pub(super) use std::ffi::{c_int, c_short, c_ulong};
 
-    #[cfg(target_os = "linux")]
-    pub(super) type nfds_t = std::ffi::c_ulong;
-    #[cfg(not(target_os = "linux"))]
-    pub(super) type nfds_t = std::ffi::c_uint;
-
-    pub(super) const POLLIN: c_short = 0x1;
     pub(super) const POLLOUT: c_short = 0x4;
-    pub(super) const POLLERR: c_short = 0x8;
-    pub(super) const POLLHUP: c_short = 0x10;
 
     #[repr(C)]
     pub(super) struct pollfd {
@@ -67,11 +58,7 @@ mod sys {
 
     extern "C" {
         pub(super) fn close(fd: c_int) -> c_int;
-        pub(super) fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
-    }
-
-    #[cfg(target_os = "linux")]
-    extern "C" {
+        pub(super) fn poll(fds: *mut pollfd, nfds: c_ulong, timeout: c_int) -> c_int;
         pub(super) fn epoll_create1(flags: c_int) -> c_int;
         pub(super) fn epoll_ctl(
             epfd: c_int,
@@ -101,35 +88,7 @@ pub(crate) struct Event {
     pub(crate) hup: bool,
 }
 
-/// The poller the server compiles against.
-#[cfg(target_os = "linux")]
-pub(crate) type Poller = epoll::EpollPoller;
-/// The poller the server compiles against.
-#[cfg(not(target_os = "linux"))]
-pub(crate) type Poller = pollfd::PollPoller;
-
-/// Builds the nonblocking self-wake socketpair both backends share.
-fn wake_pair() -> io::Result<(UnixStream, UnixStream)> {
-    let (r, w) = UnixStream::pair()?;
-    r.set_nonblocking(true)?;
-    w.set_nonblocking(true)?;
-    Ok((r, w))
-}
-
-/// Drains every pending wake byte (the channel is level-readable until
-/// empty; leaving bytes behind would spin the wait).
-fn drain_wake(r: &mut &UnixStream) {
-    let mut buf = [0u8; 64];
-    while matches!(r.read(&mut buf), Ok(n) if n > 0) {}
-}
-
-/// Sends one wake byte. A full pipe or closed peer both mean a wake is
-/// already pending (or the poller is gone), so errors are ignored.
-fn send_wake(w: &UnixStream) {
-    let _ = (&*w).write(&[1u8]);
-}
-
-/// Clamps a timeout to the millisecond `int` both syscalls take.
+/// Clamps a timeout to the millisecond `int` `poll` and `epoll_wait` take.
 fn timeout_ms(timeout: Duration) -> i32 {
     i32::try_from(timeout.as_millis())
         .unwrap_or(i32::MAX)
@@ -143,10 +102,11 @@ fn timeout_ms(timeout: Duration) -> i32 {
 pub(crate) struct Waker(std::sync::Arc<UnixStream>);
 
 impl Waker {
-    /// Interrupts a blocked wait (best-effort: a full channel means a
-    /// wake is already pending).
+    /// Interrupts a blocked wait. Best-effort: a full channel or a closed
+    /// peer both mean a wake is already pending (or the poller is gone),
+    /// so errors are ignored.
     pub(crate) fn wake(&self) {
-        send_wake(&self.0);
+        let _ = (&*self.0).write(&[1u8]);
     }
 }
 
@@ -170,281 +130,112 @@ pub(crate) fn wait_writable(fd: RawFd, timeout: Duration) -> io::Result<bool> {
     Ok(r > 0)
 }
 
-#[cfg(target_os = "linux")]
-pub(crate) mod epoll {
-    use super::*;
+/// The `epoll(7)`-backed poller: one epoll instance owns every
+/// registration; connection sockets use `EPOLLONESHOT`.
+pub(crate) struct Poller {
+    ep: RawFd,
+    wake_r: UnixStream,
+    wake_w: UnixStream,
+}
 
-    /// `epoll(7)`-backed poller: one epoll instance owns every
-    /// registration; connection sockets use `EPOLLONESHOT`.
-    pub(crate) struct EpollPoller {
-        ep: RawFd,
-        wake_r: UnixStream,
-        wake_w: UnixStream,
-    }
-
-    fn cvt(r: i32) -> io::Result<i32> {
-        if r < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(r)
-        }
-    }
-
-    impl EpollPoller {
-        pub(crate) fn new() -> io::Result<EpollPoller> {
-            let ep = cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
-            let (wake_r, wake_w) = match wake_pair() {
-                Ok(pair) => pair,
-                Err(e) => {
-                    unsafe { sys::close(ep) };
-                    return Err(e);
-                }
-            };
-            let poller = EpollPoller { ep, wake_r, wake_w };
-            poller.ctl(
-                sys::EPOLL_CTL_ADD,
-                poller.wake_r.as_raw_fd(),
-                sys::EPOLLIN as u32,
-                WAKE_TOKEN,
-            )?;
-            Ok(poller)
-        }
-
-        fn ctl(&self, op: sys::c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-            let mut ev = sys::epoll_event { events, u64: token };
-            cvt(unsafe { sys::epoll_ctl(self.ep, op, fd, &mut ev) }).map(|_| ())
-        }
-
-        fn oneshot_interest() -> u32 {
-            (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLONESHOT) as u32
-        }
-
-        /// Registers a connection socket for exactly one readability
-        /// report; [`EpollPoller::rearm`] re-enables it.
-        pub(crate) fn register(&self, fd: RawFd, token: u64) -> io::Result<()> {
-            self.ctl(sys::EPOLL_CTL_ADD, fd, Self::oneshot_interest(), token)
-        }
-
-        /// Registers a listener-style fd level-triggered: it stays armed
-        /// across waits.
-        pub(crate) fn register_persistent(&self, fd: RawFd, token: u64) -> io::Result<()> {
-            self.ctl(sys::EPOLL_CTL_ADD, fd, sys::EPOLLIN as u32, token)
-        }
-
-        /// Re-enables a oneshot registration after its report was
-        /// handled.
-        pub(crate) fn rearm(&self, fd: RawFd, token: u64) -> io::Result<()> {
-            self.ctl(sys::EPOLL_CTL_MOD, fd, Self::oneshot_interest(), token)
-        }
-
-        /// Removes a registration; harmless if the fd was never added.
-        pub(crate) fn deregister(&self, fd: RawFd) {
-            let mut ev = sys::epoll_event { events: 0, u64: 0 };
-            let _ = unsafe { sys::epoll_ctl(self.ep, sys::EPOLL_CTL_DEL, fd, &mut ev) };
-        }
-
-        /// Waits for readiness, filling `out` (wake reports are drained
-        /// internally and not surfaced). An interrupted wait returns
-        /// empty rather than erroring.
-        pub(crate) fn wait(&mut self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-            out.clear();
-            const CAP: usize = 256;
-            let mut buf = [sys::epoll_event { events: 0, u64: 0 }; CAP];
-            let n = {
-                let r = unsafe {
-                    sys::epoll_wait(self.ep, buf.as_mut_ptr(), CAP as i32, timeout_ms(timeout))
-                };
-                if r < 0 {
-                    let e = io::Error::last_os_error();
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        return Ok(());
-                    }
-                    return Err(e);
-                }
-                r as usize
-            };
-            for ev in &buf[..n] {
-                let token = ev.u64;
-                let events = ev.events;
-                if token == WAKE_TOKEN {
-                    drain_wake(&mut &self.wake_r);
-                    continue;
-                }
-                let hup = events & (sys::EPOLLHUP | sys::EPOLLERR | sys::EPOLLRDHUP) as u32 != 0;
-                out.push(Event { token, hup });
-            }
-            Ok(())
-        }
-
-        /// Interrupts a blocked [`EpollPoller::wait`] from any thread.
-        /// Production code wakes through a [`Waker`] clone instead; the
-        /// direct form exists for the shared readiness test suite.
-        #[cfg_attr(not(test), allow(dead_code))]
-        pub(crate) fn wake(&self) {
-            send_wake(&self.wake_w);
-        }
-
-        /// A cloneable wake handle for other threads.
-        pub(crate) fn waker(&self) -> io::Result<Waker> {
-            Ok(Waker(std::sync::Arc::new(self.wake_w.try_clone()?)))
-        }
-    }
-
-    impl Drop for EpollPoller {
-        fn drop(&mut self) {
-            unsafe { sys::close(self.ep) };
-        }
+fn cvt(r: i32) -> io::Result<i32> {
+    if r < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(r)
     }
 }
 
-// On Linux the epoll backend is selected, so this one is only reached
-// by its unit tests — which is exactly why it stays compiled.
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-pub(crate) mod pollfd {
-    use super::*;
-    use sedna_sync::Mutex;
-
-    struct Slot {
-        fd: RawFd,
-        token: u64,
-        armed: bool,
-        oneshot: bool,
+impl Poller {
+    pub(crate) fn new() -> io::Result<Poller> {
+        let (wake_r, wake_w) = UnixStream::pair()?;
+        wake_r.set_nonblocking(true)?;
+        wake_w.set_nonblocking(true)?;
+        let ep = cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
+        // From here on, Drop closes `ep` on every path.
+        let poller = Poller { ep, wake_r, wake_w };
+        poller.ctl(
+            sys::EPOLL_CTL_ADD,
+            poller.wake_r.as_raw_fd(),
+            sys::EPOLLIN as u32,
+            WAKE_TOKEN,
+        )?;
+        Ok(poller)
     }
 
-    /// Portable `poll(2)`-backed poller: keeps the registration table in
-    /// user space and rebuilds the pollfd array per wait. O(N) per wait
-    /// rather than epoll's O(ready), but correct everywhere `poll`
-    /// exists; oneshot semantics are emulated by disarming a slot when
-    /// its readiness is reported.
-    pub(crate) struct PollPoller {
-        slots: Mutex<Vec<Slot>>,
-        wake_r: UnixStream,
-        wake_w: UnixStream,
+    fn ctl(&self, op: sys::c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+        let mut ev = sys::epoll_event { events, u64: token };
+        cvt(unsafe { sys::epoll_ctl(self.ep, op, fd, &mut ev) }).map(|_| ())
     }
 
-    impl PollPoller {
-        pub(crate) fn new() -> io::Result<PollPoller> {
-            let (wake_r, wake_w) = wake_pair()?;
-            Ok(PollPoller {
-                slots: Mutex::new(Vec::new()),
-                wake_r,
-                wake_w,
-            })
-        }
+    fn oneshot_interest() -> u32 {
+        (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLONESHOT) as u32
+    }
 
-        fn add(&self, fd: RawFd, token: u64, oneshot: bool) -> io::Result<()> {
-            let mut slots = self.slots.lock();
-            if slots.iter().any(|s| s.fd == fd) {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
+    /// Registers a connection socket for exactly one readability report;
+    /// [`Poller::rearm`] re-enables it.
+    pub(crate) fn register(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_ADD, fd, Self::oneshot_interest(), token)
+    }
+
+    /// Registers a listener-style fd level-triggered: it stays armed
+    /// across waits.
+    pub(crate) fn register_persistent(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_ADD, fd, sys::EPOLLIN as u32, token)
+    }
+
+    /// Re-enables a oneshot registration after its report was handled.
+    pub(crate) fn rearm(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_MOD, fd, Self::oneshot_interest(), token)
+    }
+
+    /// Removes a registration; harmless if the fd was never added.
+    pub(crate) fn deregister(&self, fd: RawFd) {
+        let mut ev = sys::epoll_event { events: 0, u64: 0 };
+        let _ = unsafe { sys::epoll_ctl(self.ep, sys::EPOLL_CTL_DEL, fd, &mut ev) };
+    }
+
+    /// Waits for readiness, filling `out` (wake reports are drained
+    /// internally and not surfaced). An interrupted wait returns empty
+    /// rather than erroring.
+    pub(crate) fn wait(&mut self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
+        out.clear();
+        const CAP: usize = 256;
+        let mut buf = [sys::epoll_event { events: 0, u64: 0 }; CAP];
+        let r =
+            unsafe { sys::epoll_wait(self.ep, buf.as_mut_ptr(), CAP as i32, timeout_ms(timeout)) };
+        if r < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                return Ok(());
             }
-            slots.push(Slot {
-                fd,
-                token,
-                armed: true,
-                oneshot,
-            });
-            Ok(())
+            return Err(e);
         }
-
-        /// Registers a connection socket for exactly one readability
-        /// report; [`PollPoller::rearm`] re-enables it.
-        pub(crate) fn register(&self, fd: RawFd, token: u64) -> io::Result<()> {
-            self.add(fd, token, true)
-        }
-
-        /// Registers a listener-style fd that stays armed across waits.
-        pub(crate) fn register_persistent(&self, fd: RawFd, token: u64) -> io::Result<()> {
-            self.add(fd, token, false)
-        }
-
-        /// Re-enables a oneshot registration after its report was
-        /// handled.
-        pub(crate) fn rearm(&self, fd: RawFd, token: u64) -> io::Result<()> {
-            let mut slots = self.slots.lock();
-            match slots.iter_mut().find(|s| s.fd == fd) {
-                Some(slot) => {
-                    slot.token = token;
-                    slot.armed = true;
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
+        for ev in &buf[..r as usize] {
+            let token = ev.u64;
+            let events = ev.events;
+            if token == WAKE_TOKEN {
+                // The channel is level-readable until empty; leaving bytes
+                // behind would spin the wait.
+                let mut drain = [0u8; 64];
+                while matches!((&self.wake_r).read(&mut drain), Ok(n) if n > 0) {}
+                continue;
             }
+            let hup = events & (sys::EPOLLHUP | sys::EPOLLERR | sys::EPOLLRDHUP) as u32 != 0;
+            out.push(Event { token, hup });
         }
+        Ok(())
+    }
 
-        /// Removes a registration; harmless if the fd was never added.
-        pub(crate) fn deregister(&self, fd: RawFd) {
-            self.slots.lock().retain(|s| s.fd != fd);
-        }
+    /// A cloneable wake handle for other threads.
+    pub(crate) fn waker(&self) -> io::Result<Waker> {
+        Ok(Waker(std::sync::Arc::new(self.wake_w.try_clone()?)))
+    }
+}
 
-        /// Waits for readiness, filling `out` (wake reports are drained
-        /// internally and not surfaced). An interrupted wait returns
-        /// empty rather than erroring.
-        pub(crate) fn wait(&mut self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-            out.clear();
-            let mut fds: Vec<sys::pollfd> = vec![sys::pollfd {
-                fd: self.wake_r.as_raw_fd(),
-                events: sys::POLLIN,
-                revents: 0,
-            }];
-            {
-                let slots = self.slots.lock();
-                fds.extend(slots.iter().filter(|s| s.armed).map(|s| sys::pollfd {
-                    fd: s.fd,
-                    events: sys::POLLIN,
-                    revents: 0,
-                }));
-            }
-            let r = unsafe {
-                sys::poll(
-                    fds.as_mut_ptr(),
-                    fds.len() as sys::nfds_t,
-                    timeout_ms(timeout),
-                )
-            };
-            if r < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            if fds[0].revents != 0 {
-                drain_wake(&mut &self.wake_r);
-            }
-            let mut slots = self.slots.lock();
-            for p in &fds[1..] {
-                if p.revents == 0 {
-                    continue;
-                }
-                let hup = p.revents & (sys::POLLHUP | sys::POLLERR) != 0;
-                if let Some(slot) = slots.iter_mut().find(|s| s.fd == p.fd) {
-                    if slot.oneshot {
-                        slot.armed = false;
-                    }
-                    out.push(Event {
-                        token: slot.token,
-                        hup,
-                    });
-                }
-            }
-            Ok(())
-        }
-
-        /// Interrupts a blocked [`PollPoller::wait`] from any thread.
-        /// Production code wakes through a [`Waker`] clone instead; the
-        /// direct form exists for the shared readiness test suite.
-        #[cfg_attr(not(test), allow(dead_code))]
-        pub(crate) fn wake(&self) {
-            send_wake(&self.wake_w);
-        }
-
-        /// A cloneable wake handle for other threads.
-        pub(crate) fn waker(&self) -> io::Result<Waker> {
-            Ok(Waker(std::sync::Arc::new(self.wake_w.try_clone()?)))
-        }
+impl Drop for Poller {
+    fn drop(&mut self) {
+        unsafe { sys::close(self.ep) };
     }
 }
 
@@ -459,85 +250,60 @@ mod tests {
         (a, b)
     }
 
-    /// Both backends must pass the same behavioral checks; `run` takes
-    /// constructor-erased closures so the suite stays in one place.
-    fn readiness_suite<P>(
-        new: impl Fn() -> P,
-        register: impl Fn(&P, RawFd, u64) -> io::Result<()>,
-        rearm: impl Fn(&P, RawFd, u64) -> io::Result<()>,
-        deregister: impl Fn(&P, RawFd),
-        wait: impl Fn(&mut P, &mut Vec<Event>, Duration) -> io::Result<()>,
-        wake: impl Fn(&P),
-    ) {
-        let mut poller = new();
+    #[test]
+    fn poller_reports_readiness() {
+        let mut poller = Poller::new().unwrap();
         let mut events = Vec::new();
 
         // Idle wait times out empty.
-        wait(&mut poller, &mut events, Duration::from_millis(10)).unwrap();
+        poller.wait(&mut events, Duration::from_millis(10)).unwrap();
         assert!(events.is_empty());
 
         // A readable registered fd is reported with its token.
         let (r, w) = pair();
-        register(&poller, r.as_raw_fd(), 7).unwrap();
+        poller.register(r.as_raw_fd(), 7).unwrap();
         (&w).write_all(b"x").unwrap();
-        wait(&mut poller, &mut events, Duration::from_millis(1000)).unwrap();
+        poller
+            .wait(&mut events, Duration::from_millis(1000))
+            .unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 7);
 
         // Oneshot: without a rearm the same readiness is not re-reported.
-        wait(&mut poller, &mut events, Duration::from_millis(10)).unwrap();
+        poller.wait(&mut events, Duration::from_millis(10)).unwrap();
         assert!(events.is_empty(), "oneshot fd reported twice");
 
         // Rearm re-enables the report (the byte is still unread).
-        rearm(&poller, r.as_raw_fd(), 9).unwrap();
-        wait(&mut poller, &mut events, Duration::from_millis(1000)).unwrap();
+        poller.rearm(r.as_raw_fd(), 9).unwrap();
+        poller
+            .wait(&mut events, Duration::from_millis(1000))
+            .unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 9);
 
         // Peer hangup is flagged.
-        rearm(&poller, r.as_raw_fd(), 9).unwrap();
+        poller.rearm(r.as_raw_fd(), 9).unwrap();
         drop(w);
-        wait(&mut poller, &mut events, Duration::from_millis(1000)).unwrap();
+        poller
+            .wait(&mut events, Duration::from_millis(1000))
+            .unwrap();
         assert_eq!(events.len(), 1);
         assert!(events[0].hup);
 
         // Deregistered fds go silent.
-        deregister(&poller, r.as_raw_fd());
-        wait(&mut poller, &mut events, Duration::from_millis(10)).unwrap();
+        poller.deregister(r.as_raw_fd());
+        poller.wait(&mut events, Duration::from_millis(10)).unwrap();
         assert!(events.is_empty());
 
-        // wake() interrupts a long wait promptly and is not surfaced as
+        // A wake interrupts a long wait promptly and is not surfaced as
         // an event.
         let started = Instant::now();
-        wake(&poller);
-        wait(&mut poller, &mut events, Duration::from_millis(5000)).unwrap();
+        poller.waker().unwrap().wake();
+        poller
+            .wait(&mut events, Duration::from_millis(5000))
+            .unwrap();
         assert!(events.is_empty());
         assert!(started.elapsed() < Duration::from_millis(1000));
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_backend_reports_readiness() {
-        readiness_suite(
-            || epoll::EpollPoller::new().unwrap(),
-            |p, fd, t| p.register(fd, t),
-            |p, fd, t| p.rearm(fd, t),
-            |p, fd| p.deregister(fd),
-            |p, out, d| p.wait(out, d),
-            |p| p.wake(),
-        );
-    }
-
-    #[test]
-    fn poll_backend_reports_readiness() {
-        readiness_suite(
-            || pollfd::PollPoller::new().unwrap(),
-            |p, fd, t| p.register(fd, t),
-            |p, fd, t| p.rearm(fd, t),
-            |p, fd| p.deregister(fd),
-            |p, out, d| p.wait(out, d),
-            |p| p.wake(),
-        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! accepts client connections and hands each one to a per-client session
 //! component. This module reproduces that shape with a readiness-loop
 //! split: one **event thread** owns every socket in non-blocking mode
-//! behind a small poller abstraction (`epoll(7)` on Linux, `poll(2)`
-//! elsewhere — see [`crate::poller`]), parses frames incrementally per
+//! behind a small `epoll(7)` poller (Linux only — see
+//! [`crate::poller`]), parses frames incrementally per
 //! connection, and hands complete requests to `workers` **worker
 //! threads** that execute them against the wire session
 //! ([`sedna::Session`]) and write the responses. N idle connections cost

@@ -8,29 +8,23 @@
 //! simultaneously (an updater's working version next to the snapshot
 //! version a read-only transaction is scanning).
 //!
-//! ## Sharding and the lock-free hit path
+//! ## One page table and the read-locked hit path
 //!
-//! The page table and the clock replacement state are partitioned into
-//! `N` shards (a power of two, clamped to the frame count). A physical
-//! slot id is hashed to a shard; each shard owns a disjoint slice of the
-//! frame array, its own `phys → frame` map, its own clock hand, and its
-//! own free list, so a miss (eviction, store I/O) in one shard never
-//! blocks lookups in another.
+//! One `RwLock` guards the page table (`phys → frame`), the clock hand
+//! and the free list for every frame, as in the single buffer manager of
+//! the paper's Figure 4.
 //!
-//! A **hit** takes only the shard's `RwLock` in *read* mode — a shared
-//! acquisition that concurrent readers never serialize on — and flips the
-//! frame's atomic reference bit. Pinning is the frame `RwLock` itself
-//! (the clock's `try_write` probe refuses frames with readers or a
-//! writer), and the reference bit is a per-frame atomic, so a hot
-//! read-only scan performs **zero exclusive acquisitions** of pool
-//! state. Only misses, evictions, retargets and invalidations write-lock
-//! a shard, and only ever one shard at a time (cross-shard retargets
-//! release the source shard before touching the destination shard, so
-//! there is no lock-order deadlock).
+//! A **hit** takes that lock in *read* mode — a shared acquisition that
+//! concurrent readers never serialize on — and flips the frame's atomic
+//! reference bit. Pinning is the frame `RwLock` itself (the clock's
+//! `try_write` probe refuses frames with readers or a writer), and the
+//! reference bit is a per-frame atomic, so a hot read-only scan performs
+//! **zero exclusive acquisitions** of pool state. Only misses,
+//! evictions, retargets and invalidations write-lock the table.
 //!
 //! ## Model-checkable protocol state
 //!
-//! Every lock and atomic here — the shard state lock, the frame content
+//! Every lock and atomic here — the page-table lock, the frame content
 //! locks whose owned `read_arc`/`write_arc` guards pin pages, the
 //! per-frame reference bits, the metric counters and the stats-reset
 //! seqlock — goes through the `sedna-sync` shim, so the `loom_models`
@@ -63,9 +57,9 @@ pub struct BufferMetrics {
     /// Lookups satisfied by a resident frame.
     pub hits: Counter,
     /// Hits that completed without any exclusive pool-state acquisition
-    /// (shard read-locked only). A subset of `hits`: a lookup that loses
-    /// the read-probe race and re-finds the page under the shard write
-    /// lock counts as a hit but not as a lock-free hit.
+    /// (page table read-locked only). A subset of `hits`: a lookup that
+    /// loses the read-probe race and re-finds the page under the table
+    /// write lock counts as a hit but not as a lock-free hit.
     pub lockfree_hits: Counter,
     /// Lookups that had to load the page from the store.
     pub misses: Counter,
@@ -75,8 +69,6 @@ pub struct BufferMetrics {
     pub writebacks: Counter,
     /// Copy-on-write retargets.
     pub retargets: Counter,
-    /// Number of page-table shards (constant after pool construction).
-    pub shard_count: Gauge,
     /// Pages currently pinned: frames with a live [`PageRead`] or
     /// [`PageWrite`] guard outstanding. This is the quantity the
     /// streaming executor bounds to O(pipeline depth); the clock can
@@ -85,8 +77,6 @@ pub struct BufferMetrics {
     /// High-water mark of `pinned` since pool creation or the last
     /// [`BufferPool::reset_pinned_peak`].
     pub pinned_peak: Gauge,
-    /// Per-shard resident-page gauges (`sedna_buffer_shard_<i>_resident`).
-    pub shard_resident: Vec<Gauge>,
     /// Reset seqlock (Linux `seqcount` style): odd while a
     /// [`BufferMetrics::reset`] is in progress, even when stable. The
     /// writer enters with an `AcqRel` increment and leaves with a
@@ -100,16 +90,6 @@ pub struct BufferMetrics {
 }
 
 impl BufferMetrics {
-    /// Creates handles with one resident gauge per shard.
-    pub fn for_shards(shards: usize) -> BufferMetrics {
-        let m = BufferMetrics {
-            shard_resident: (0..shards).map(|_| Gauge::new()).collect(),
-            ..BufferMetrics::default()
-        };
-        m.shard_count.set(shards as i64);
-        m
-    }
-
     /// Registers every counter under its canonical `sedna_buffer_*` name
     /// (see `docs/metrics.md`).
     pub fn register_into(&self, reg: &Registry) {
@@ -120,7 +100,7 @@ impl BufferMetrics {
         );
         reg.register_counter(
             "sedna_buffer_lockfree_hits_total",
-            "Hits resolved with the shard read-locked only (no exclusive acquisition)",
+            "Hits resolved with the page table read-locked only (no exclusive acquisition)",
             &self.lockfree_hits,
         );
         reg.register_counter(
@@ -144,11 +124,6 @@ impl BufferMetrics {
             &self.retargets,
         );
         reg.register_gauge(
-            "sedna_buffer_shard_count",
-            "Number of buffer-pool page-table shards",
-            &self.shard_count,
-        );
-        reg.register_gauge(
             "sedna_buffer_pinned_pages",
             "Pages currently pinned by live read/write guards",
             &self.pinned,
@@ -158,13 +133,6 @@ impl BufferMetrics {
             "High-water mark of pinned pages since the last peak reset",
             &self.pinned_peak,
         );
-        for (i, g) in self.shard_resident.iter().enumerate() {
-            reg.register_gauge(
-                &format!("sedna_buffer_shard_{i}_resident"),
-                "Resident pages in this buffer-pool shard",
-                g,
-            );
-        }
     }
 
     /// A torn-read-free [`BufferStats`] view, in two layers:
@@ -240,8 +208,8 @@ impl BufferMetrics {
     /// makes the reader retry (it observes either the pre- or post-reset
     /// values, never a mixture — increments racing the reset may
     /// individually survive or vanish, which is inherent to resetting
-    /// live counters). The shard gauges track live pool state and are
-    /// not touched.
+    /// live counters). The pin gauges track live pool state and are not
+    /// touched.
     pub fn reset(&self) {
         // Seqlock writer entry: generation becomes odd. AcqRel so the
         // counter zeroes below cannot be reordered before the entry
@@ -262,14 +230,16 @@ impl BufferMetrics {
     }
 }
 
-/// Counters describing buffer-pool behaviour; used by experiments E2 and
-/// the buffer-ablation benchmarks. This is a point-in-time **view** of
-/// [`BufferMetrics`], taken through the seqlock-validated sweep path.
+/// Counters describing buffer-pool behaviour; used by experiment E2 and
+/// the end-to-end benchmark. At any quiescent point `hits + misses`
+/// equals the lookups made (`acquire`, `acquire_fresh`, `retarget`).
+/// This is a point-in-time **view** of [`BufferMetrics`], taken through
+/// the seqlock-validated sweep path.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BufferStats {
     /// Lookups satisfied by a resident frame.
     pub hits: u64,
-    /// Hits resolved with the shard read-locked only (subset of `hits`).
+    /// Hits resolved with the page table read-locked only (subset of `hits`).
     pub lockfree_hits: u64,
     /// Lookups that had to load the page from the store.
     pub misses: u64,
@@ -279,23 +249,6 @@ pub struct BufferStats {
     pub writebacks: u64,
     /// Copy-on-write retargets (new page version created in place).
     pub retargets: u64,
-}
-
-/// Per-shard counters for the shard-invariant tests and ablations:
-/// `lookups == hits + misses` holds for every shard at any quiescent
-/// point, and `resident` pages of a shard all hash to that shard.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Lookups routed to this shard (acquire/acquire_fresh/retarget).
-    pub lookups: u64,
-    /// Lookups satisfied by a frame resident in this shard.
-    pub hits: u64,
-    /// Lookups that loaded (or re-created) the page in this shard.
-    pub misses: u64,
-    /// Pages currently resident in this shard.
-    pub resident: usize,
-    /// Frames owned by this shard.
-    pub frames: usize,
 }
 
 /// Contents of one buffer frame.
@@ -313,32 +266,19 @@ struct Frame {
     lock: Arc<RwLock<FrameInner>>,
     /// Second-chance reference bit. Atomic so the lock-free hit path can
     /// set it without owning any pool-state lock; the clock (which holds
-    /// its shard write-locked) races against it benignly.
+    /// the page table write-locked) races against it benignly.
     referenced: AtomicBool,
 }
 
-/// Mutable half of a shard: the page table, clock hand and free list.
-struct ShardState {
-    /// phys -> global frame index, for pages resident in this shard.
+/// Mutable pool state: the page table, clock hand and free list.
+struct PoolState {
+    /// phys -> frame index, for every resident page.
     map: HashMap<PhysId, usize>,
-    /// Clock hand, relative to the shard's frame slice.
+    /// Clock hand over the frame array.
     hand: usize,
-    /// Never-used or invalidated frames (global indices), consumed before
-    /// the clock starts evicting.
+    /// Never-used or invalidated frames, consumed before the clock starts
+    /// evicting.
     free: Vec<usize>,
-}
-
-struct Shard {
-    /// First frame index owned by this shard.
-    start: usize,
-    /// Number of frames owned by this shard.
-    len: usize,
-    /// Shim lock so the hit/miss/eviction protocol is model-checkable;
-    /// see the module docs and `loom_models`.
-    state: RwLock<ShardState>,
-    lookups: Counter,
-    hits: Counter,
-    misses: Counter,
 }
 
 /// Pin accounting attached to every page guard: counts one pinned page
@@ -449,9 +389,9 @@ impl std::ops::DerefMut for PageWrite {
 pub struct BufferPool {
     page_size: usize,
     frames: Vec<Frame>,
-    shards: Vec<Shard>,
-    /// `shards.len() - 1`; the shard count is a power of two.
-    shard_mask: u64,
+    /// Shim lock so the hit/miss/eviction protocol is model-checkable;
+    /// see the module docs and `loom_models`.
+    state: RwLock<PoolState>,
     barrier: Mutex<Option<Arc<dyn WriteBarrier>>>,
     metrics: BufferMetrics,
 }
@@ -474,96 +414,35 @@ impl std::fmt::Debug for FrameRef {
     }
 }
 
-/// Default shard count: the next power of two ≥ the machine's cores.
-pub fn default_shard_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .next_power_of_two()
-}
-
 impl BufferPool {
-    /// Creates a pool of `frames` frames of `page_size` bytes each, with
-    /// the default shard count (next power of two ≥ cores, clamped so
-    /// every shard owns at least one frame).
+    /// Creates a pool of `frames` frames of `page_size` bytes each.
     pub fn new(frames: usize, page_size: usize) -> Self {
-        Self::with_shards(frames, page_size, 0)
-    }
-
-    /// Creates a pool with an explicit shard count. `shards == 0` selects
-    /// the default; any other value is rounded up to a power of two and
-    /// clamped so that every shard owns at least one frame (tiny test
-    /// pools degrade to a single shard).
-    pub fn with_shards(frames: usize, page_size: usize, shards: usize) -> Self {
-        let n_frames = frames;
-        let mut n_shards = if shards == 0 {
-            default_shard_count()
-        } else {
-            shards.next_power_of_two()
-        };
-        while n_shards > 1 && n_shards > n_frames {
-            n_shards /= 2;
-        }
-        let frames: Vec<Frame> = (0..n_frames)
-            .map(|_| Frame {
-                lock: Arc::new(RwLock::new(FrameInner {
-                    page: XPtr::NULL,
-                    phys: PhysId::INVALID,
-                    dirty: false,
-                    data: vec![0u8; page_size].into_boxed_slice(),
-                })),
-                referenced: AtomicBool::new(false),
-            })
-            .collect();
-        // Partition the frame array into contiguous per-shard slices; the
-        // remainder is spread over the leading shards.
-        let base = n_frames / n_shards;
-        let rem = n_frames % n_shards;
-        let mut start = 0usize;
-        let shards: Vec<Shard> = (0..n_shards)
-            .map(|i| {
-                let len = base + usize::from(i < rem);
-                let shard = Shard {
-                    start,
-                    len,
-                    state: RwLock::new(ShardState {
-                        map: HashMap::new(),
-                        hand: 0,
-                        free: (start..start + len).rev().collect(),
-                    }),
-                    lookups: Counter::new(),
-                    hits: Counter::new(),
-                    misses: Counter::new(),
-                };
-                start += len;
-                shard
-            })
-            .collect();
         BufferPool {
             page_size,
-            frames,
-            shard_mask: (n_shards - 1) as u64,
-            shards,
+            frames: (0..frames)
+                .map(|_| Frame {
+                    lock: Arc::new(RwLock::new(FrameInner {
+                        page: XPtr::NULL,
+                        phys: PhysId::INVALID,
+                        dirty: false,
+                        data: vec![0u8; page_size].into_boxed_slice(),
+                    })),
+                    referenced: AtomicBool::new(false),
+                })
+                .collect(),
+            state: RwLock::new(PoolState {
+                map: HashMap::new(),
+                hand: 0,
+                free: (0..frames).rev().collect(),
+            }),
             barrier: Mutex::new(None),
-            metrics: BufferMetrics::for_shards(n_shards),
+            metrics: BufferMetrics::default(),
         }
     }
 
     /// The page size frames were created with.
     pub fn page_size(&self) -> usize {
         self.page_size
-    }
-
-    /// The number of page-table shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a physical slot hashes to (Fibonacci hashing; the shard
-    /// count is a power of two).
-    #[inline]
-    pub fn shard_of(&self, phys: PhysId) -> usize {
-        ((phys.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) & self.shard_mask) as usize
     }
 
     /// Installs the WAL write barrier.
@@ -588,26 +467,20 @@ impl BufferPool {
         self.metrics.reset();
     }
 
-    /// Per-shard lookup/hit/miss/resident counters. At any quiescent point
-    /// `lookups == hits + misses` holds per shard.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|s| ShardStats {
-                lookups: s.lookups.get(),
-                hits: s.hits.get(),
-                misses: s.misses.get(),
-                resident: s.state.read().map.len(),
-                frames: s.len,
-            })
-            .collect()
-    }
-
     fn frame_ref(&self, idx: usize) -> FrameRef {
         FrameRef {
             lock: Arc::clone(&self.frames[idx].lock),
             frame_idx: idx,
         }
+    }
+
+    /// Sets the frame's second-chance reference bit.
+    fn touch(&self, idx: usize) {
+        // relaxed: second-chance hint only; a racing hit whose set the
+        // clock misses costs at most one premature eviction, never
+        // correctness (stale FrameRefs are caught by the phys check in
+        // try_read/try_write).
+        self.frames[idx].referenced.store(true, Ordering::Relaxed);
     }
 
     fn flush_inner(&self, inner: &mut FrameInner, store: &dyn PageStore) -> SasResult<()> {
@@ -627,17 +500,15 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Picks an evictable frame of shard `si` (free list first, then second
-    /// chance over the shard's own frames). The caller must hold the shard
-    /// write lock; the victim is returned write-locked with its old content
-    /// flushed and its map entry removed.
+    /// Picks an evictable frame (free list first, then second chance).
+    /// The caller must hold the page table write-locked; the victim is
+    /// returned write-locked with its old content flushed and its map
+    /// entry removed.
     fn claim_victim(
         &self,
-        si: usize,
-        state: &mut ShardState,
+        state: &mut PoolState,
         store: &dyn PageStore,
     ) -> SasResult<(usize, ArcRwLockWriteGuard<FrameInner>)> {
-        let shard = &self.shards[si];
         // Free frames (never used, or invalidated) first — no eviction.
         while let Some(idx) = state.free.pop() {
             if let Some(guard) = self.frames[idx].lock.try_write_arc() {
@@ -654,29 +525,25 @@ impl BufferPool {
             state.free.push(idx);
             break;
         }
-        let n = shard.len;
+        let n = self.frames.len();
         if n == 0 {
             return Err(SasError::PoolExhausted);
         }
-        // Two full sweeps of this shard's slice: the first clears reference
-        // bits, the second takes any unreferenced, unlocked frame.
+        // Two full sweeps: the first clears reference bits, the second
+        // takes any unreferenced, unlocked frame.
         for _ in 0..2 * n + 1 {
-            let idx = shard.start + state.hand;
+            let idx = state.hand;
             state.hand = (state.hand + 1) % n;
             let frame = &self.frames[idx];
-            // relaxed: the reference bit is a replacement heuristic; a
-            // racing hit whose set is missed here costs at most one
-            // premature eviction, never correctness (stale FrameRefs are
-            // caught by the phys check in try_read/try_write).
+            // relaxed: the reference bit is a replacement heuristic (see
+            // `touch`).
             if frame.referenced.swap(false, Ordering::Relaxed) {
                 continue;
             }
             if let Some(mut guard) = frame.lock.try_write_arc() {
                 if guard.phys != PhysId::INVALID {
                     self.flush_inner(&mut guard, store)?;
-                    if state.map.remove(&guard.phys).is_some() {
-                        self.metrics.shard_resident[si].sub(1);
-                    }
+                    state.map.remove(&guard.phys);
                     self.metrics.evictions.inc();
                 } else {
                     // An empty frame may still be listed as free (the
@@ -690,53 +557,54 @@ impl BufferPool {
         Err(SasError::PoolExhausted)
     }
 
+    /// Gives the write-locked frame `idx` the identity `(page, phys)`,
+    /// maps it, and hands out its handle. The caller holds the page table
+    /// write-locked and has already filled the frame's bytes.
+    fn install(
+        &self,
+        state: &mut PoolState,
+        idx: usize,
+        mut guard: ArcRwLockWriteGuard<FrameInner>,
+        page: XPtr,
+        phys: PhysId,
+        dirty: bool,
+    ) -> FrameRef {
+        guard.page = page;
+        guard.phys = phys;
+        guard.dirty = dirty;
+        state.map.insert(phys, idx);
+        self.touch(idx);
+        drop(guard);
+        self.frame_ref(idx)
+    }
+
     /// Makes the page at physical slot `phys` resident, loading it from the
     /// store if needed, and returns a handle to its frame.
     ///
-    /// The hot path — the page is resident — takes the owning shard's lock
-    /// in **read** mode only and touches nothing but the frame's atomic
+    /// The hot path — the page is resident — takes the page table in
+    /// **read** mode only and touches nothing but the frame's atomic
     /// reference bit: concurrent hits, even across all sessions, perform no
     /// exclusive pool-state acquisition.
     pub fn acquire(&self, page: XPtr, phys: PhysId, store: &dyn PageStore) -> SasResult<FrameRef> {
-        let si = self.shard_of(phys);
-        let shard = &self.shards[si];
-        shard.lookups.inc();
-        {
-            let state = shard.state.read();
-            if let Some(&idx) = state.map.get(&phys) {
-                // relaxed: second-chance hint only; the clock tolerates a
-                // late-arriving set (see claim_victim).
-                self.frames[idx].referenced.store(true, Ordering::Relaxed);
-                shard.hits.inc();
-                self.metrics.hits.inc();
-                self.metrics.lockfree_hits.inc();
-                return Ok(self.frame_ref(idx));
-            }
+        if let Some(&idx) = self.state.read().map.get(&phys) {
+            self.touch(idx);
+            self.metrics.hits.inc();
+            self.metrics.lockfree_hits.inc();
+            return Ok(self.frame_ref(idx));
         }
-        // Miss path: exclusive on this shard only.
-        let mut state = shard.state.write();
+        // Miss path: exclusive.
+        let mut state = self.state.write();
         // Another thread may have loaded the page between the read probe
         // and the write acquisition.
         if let Some(&idx) = state.map.get(&phys) {
-            // relaxed: second-chance hint only.
-            self.frames[idx].referenced.store(true, Ordering::Relaxed);
-            shard.hits.inc();
+            self.touch(idx);
             self.metrics.hits.inc();
             return Ok(self.frame_ref(idx));
         }
-        shard.misses.inc();
         self.metrics.misses.inc();
-        let (idx, mut guard) = self.claim_victim(si, &mut state, store)?;
+        let (idx, mut guard) = self.claim_victim(&mut state, store)?;
         store.read(phys, &mut guard.data)?;
-        guard.page = page;
-        guard.phys = phys;
-        guard.dirty = false;
-        state.map.insert(phys, idx);
-        self.metrics.shard_resident[si].add(1);
-        // relaxed: second-chance hint only (see claim_victim).
-        self.frames[idx].referenced.store(true, Ordering::Relaxed);
-        drop(guard);
-        Ok(self.frame_ref(idx))
+        Ok(self.install(&mut state, idx, guard, page, phys, false))
     }
 
     /// Makes a brand-new zeroed page resident without touching the store.
@@ -748,25 +616,13 @@ impl BufferPool {
         phys: PhysId,
         store: &dyn PageStore,
     ) -> SasResult<FrameRef> {
-        let si = self.shard_of(phys);
-        let shard = &self.shards[si];
-        shard.lookups.inc();
-        let mut state = shard.state.write();
+        let mut state = self.state.write();
         debug_assert!(!state.map.contains_key(&phys), "fresh page already mapped");
-        shard.misses.inc();
         self.metrics.misses.inc();
-        let (idx, mut guard) = self.claim_victim(si, &mut state, store)?;
+        let (idx, mut guard) = self.claim_victim(&mut state, store)?;
         guard.data.fill(0);
         guard.data[0..8].copy_from_slice(&page.to_bytes());
-        guard.page = page;
-        guard.phys = phys;
-        guard.dirty = true;
-        state.map.insert(phys, idx);
-        self.metrics.shard_resident[si].add(1);
-        // relaxed: second-chance hint only (see claim_victim).
-        self.frames[idx].referenced.store(true, Ordering::Relaxed);
-        drop(guard);
-        Ok(self.frame_ref(idx))
+        Ok(self.install(&mut state, idx, guard, page, phys, true))
     }
 
     /// Copy-on-write retarget: the resident content of `old_phys` becomes
@@ -774,11 +630,6 @@ impl BufferPool {
     /// flushed to `old_phys` first if dirty, so snapshot readers keep a
     /// consistent on-disk image. If the old version is not resident it is
     /// loaded first. Returns the (write-locked-and-released) frame handle.
-    ///
-    /// Shard-aware: `old_phys` and `new_phys` may hash to different shards,
-    /// in which case the content migrates between the shards' frame sets.
-    /// The source shard is fully released before the destination shard is
-    /// locked, so no two shard locks are ever held at once.
     pub fn retarget(
         &self,
         page: XPtr,
@@ -786,161 +637,69 @@ impl BufferPool {
         new_phys: PhysId,
         store: &dyn PageStore,
     ) -> SasResult<FrameRef> {
-        let si_old = self.shard_of(old_phys);
-        let si_new = self.shard_of(new_phys);
-        let old_shard = &self.shards[si_old];
         self.metrics.retargets.inc();
-        old_shard.lookups.inc();
-        if si_old == si_new {
-            // Same shard: retarget the frame in place under one lock.
-            let mut state = old_shard.state.write();
-            if let Some(idx) = state.map.remove(&old_phys) {
-                old_shard.hits.inc();
-                self.metrics.hits.inc();
-                let mut guard = self.frames[idx].lock.write_arc();
-                self.flush_inner(&mut guard, store)?;
-                guard.page = page;
-                guard.phys = new_phys;
-                guard.dirty = true;
-                state.map.insert(new_phys, idx);
-                // relaxed: second-chance hint only (see claim_victim).
-                self.frames[idx].referenced.store(true, Ordering::Relaxed);
-                drop(guard);
-                return Ok(self.frame_ref(idx));
-            }
-            // Old version not resident: load its bytes under new_phys.
-            old_shard.misses.inc();
-            self.metrics.misses.inc();
-            let (idx, mut guard) = self.claim_victim(si_old, &mut state, store)?;
-            store.read(old_phys, &mut guard.data)?;
-            guard.page = page;
-            guard.phys = new_phys;
-            guard.dirty = true;
-            state.map.insert(new_phys, idx);
-            // relaxed: second-chance hint only (see claim_victim).
-            self.frames[idx].referenced.store(true, Ordering::Relaxed);
-            drop(guard);
-            return Ok(self.frame_ref(idx));
+        let mut state = self.state.write();
+        if let Some(idx) = state.map.remove(&old_phys) {
+            // Resident: retarget the frame in place.
+            self.metrics.hits.inc();
+            let mut guard = self.frames[idx].lock.write_arc();
+            self.flush_inner(&mut guard, store)?;
+            return Ok(self.install(&mut state, idx, guard, page, new_phys, true));
         }
-        // Cross-shard: extract the bytes from the source shard (flushing
-        // the old version), then install them in the destination shard.
-        let migrated: Option<Box<[u8]>> = {
-            let mut state = old_shard.state.write();
-            match state.map.remove(&old_phys) {
-                Some(idx) => {
-                    old_shard.hits.inc();
-                    self.metrics.hits.inc();
-                    self.metrics.shard_resident[si_old].sub(1);
-                    let mut guard = self.frames[idx].lock.write_arc();
-                    self.flush_inner(&mut guard, store)?;
-                    let bytes = guard.data.clone();
-                    guard.page = XPtr::NULL;
-                    guard.phys = PhysId::INVALID;
-                    guard.dirty = false;
-                    state.free.push(idx);
-                    Some(bytes)
-                }
-                None => {
-                    old_shard.misses.inc();
-                    self.metrics.misses.inc();
-                    None
-                }
-            }
-        };
-        let new_shard = &self.shards[si_new];
-        let mut state = new_shard.state.write();
-        let (idx, mut guard) = self.claim_victim(si_new, &mut state, store)?;
-        match migrated {
-            Some(bytes) => guard.data.copy_from_slice(&bytes),
-            None => store.read(old_phys, &mut guard.data)?,
-        }
-        guard.page = page;
-        guard.phys = new_phys;
-        guard.dirty = true;
-        state.map.insert(new_phys, idx);
-        self.metrics.shard_resident[si_new].add(1);
-        // relaxed: second-chance hint only (see claim_victim).
-        self.frames[idx].referenced.store(true, Ordering::Relaxed);
+        // Old version not resident: load its bytes under new_phys.
+        self.metrics.misses.inc();
+        let (idx, mut guard) = self.claim_victim(&mut state, store)?;
+        store.read(old_phys, &mut guard.data)?;
+        Ok(self.install(&mut state, idx, guard, page, new_phys, true))
+    }
+
+    /// Empties frame `idx` without write-back and returns it to the free
+    /// list. The caller holds the page table write-locked and has
+    /// already unmapped the frame.
+    fn release(&self, state: &mut PoolState, idx: usize) {
+        let mut guard = self.frames[idx].lock.write_arc();
+        guard.page = XPtr::NULL;
+        guard.phys = PhysId::INVALID;
+        guard.dirty = false;
         drop(guard);
-        Ok(self.frame_ref(idx))
+        state.free.push(idx);
     }
 
     /// Drops the frame holding `phys`, if resident, without writing it back
     /// (used when a page version is discarded: rollback or version purge).
     pub fn invalidate(&self, phys: PhysId) {
-        let si = self.shard_of(phys);
-        let mut state = self.shards[si].state.write();
-        if let Some(idx) = state.map.remove(&phys) {
-            self.metrics.shard_resident[si].sub(1);
-            let mut guard = self.frames[idx].lock.write_arc();
-            guard.page = XPtr::NULL;
-            guard.phys = PhysId::INVALID;
-            guard.dirty = false;
-            drop(guard);
-            state.free.push(idx);
-        }
+        self.invalidate_many(&[phys]);
     }
 
-    /// Drops the frames of several physical slots, grouping the work by
-    /// shard so each shard lock is taken at most once (the version
-    /// manager's commit/rollback/purge paths discard whole batches).
+    /// Drops the frames of several physical slots under one page-table
+    /// acquisition (the version manager's commit/rollback/purge paths
+    /// discard whole batches).
     pub fn invalidate_many(&self, phys: &[PhysId]) {
-        if phys.len() <= 1 {
-            if let Some(&p) = phys.first() {
-                self.invalidate(p);
-            }
-            return;
-        }
-        let mut by_shard: Vec<Vec<PhysId>> = vec![Vec::new(); self.shards.len()];
-        for &p in phys {
-            by_shard[self.shard_of(p)].push(p);
-        }
-        for (si, group) in by_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let mut state = self.shards[si].state.write();
-            for p in group {
-                if let Some(idx) = state.map.remove(&p) {
-                    self.metrics.shard_resident[si].sub(1);
-                    let mut guard = self.frames[idx].lock.write_arc();
-                    guard.page = XPtr::NULL;
-                    guard.phys = PhysId::INVALID;
-                    guard.dirty = false;
-                    drop(guard);
-                    state.free.push(idx);
-                }
+        let mut state = self.state.write();
+        for p in phys {
+            if let Some(idx) = state.map.remove(p) {
+                self.release(&mut state, idx);
             }
         }
     }
 
-    /// Flushes every dirty frame to the store (checkpoint support). Shards
-    /// are frozen and flushed one at a time.
+    /// Flushes every dirty frame to the store (checkpoint support). The
+    /// page table is frozen for the duration.
     pub fn flush_all(&self, store: &dyn PageStore) -> SasResult<()> {
-        for shard in &self.shards {
-            let state = shard.state.write();
-            for &idx in state.map.values() {
-                let mut guard = self.frames[idx].lock.write_arc();
-                self.flush_inner(&mut guard, store)?;
-            }
+        let state = self.state.write();
+        for &idx in state.map.values() {
+            let mut guard = self.frames[idx].lock.write_arc();
+            self.flush_inner(&mut guard, store)?;
         }
         Ok(())
     }
 
     /// Drops every resident frame without write-back (crash simulation).
     pub fn drop_all(&self) {
-        for (si, shard) in self.shards.iter().enumerate() {
-            let mut state = shard.state.write();
-            let dropped: Vec<usize> = state.map.drain().map(|(_, idx)| idx).collect();
-            for idx in dropped {
-                let mut guard = self.frames[idx].lock.write_arc();
-                guard.page = XPtr::NULL;
-                guard.phys = PhysId::INVALID;
-                guard.dirty = false;
-                drop(guard);
-                state.free.push(idx);
-            }
-            self.metrics.shard_resident[si].set(0);
+        let mut state = self.state.write();
+        let dropped: Vec<usize> = state.map.drain().map(|(_, idx)| idx).collect();
+        for idx in dropped {
+            self.release(&mut state, idx);
         }
     }
 
@@ -950,10 +709,7 @@ impl BufferPool {
     pub fn try_read(&self, fref: &FrameRef, phys: PhysId) -> Option<PageRead> {
         let guard = fref.lock.read_arc();
         if guard.phys == phys {
-            // relaxed: second-chance hint only (see claim_victim).
-            self.frames[fref.frame_idx]
-                .referenced
-                .store(true, Ordering::Relaxed);
+            self.touch(fref.frame_idx);
             Some(PageRead {
                 guard,
                 _pin: self.pin_token(),
@@ -969,10 +725,7 @@ impl BufferPool {
         let mut guard = fref.lock.write_arc();
         if guard.phys == phys {
             guard.dirty = true;
-            // relaxed: second-chance hint only (see claim_victim).
-            self.frames[fref.frame_idx]
-                .referenced
-                .store(true, Ordering::Relaxed);
+            self.touch(fref.frame_idx);
             Some(PageWrite {
                 guard,
                 _pin: self.pin_token(),
@@ -990,10 +743,12 @@ impl BufferPool {
     /// its working page against — which would otherwise evict a frame
     /// someone is using.
     pub fn read_into(&self, phys: PhysId, store: &dyn PageStore, buf: &mut [u8]) -> SasResult<()> {
-        let resident = {
-            let state = self.shards[self.shard_of(phys)].state.read();
-            state.map.get(&phys).map(|&idx| self.frame_ref(idx))
-        };
+        let resident = self
+            .state
+            .read()
+            .map
+            .get(&phys)
+            .map(|&idx| self.frame_ref(idx));
         // A frame recycled since the probe was flushed before it was reused.
         match resident.and_then(|fref| self.try_read(&fref, phys)) {
             Some(guard) => buf.copy_from_slice(&guard),
@@ -1029,9 +784,9 @@ impl BufferPool {
         self.metrics.pinned_peak.set(self.metrics.pinned.get());
     }
 
-    /// Number of resident pages (summed over the shards).
+    /// Number of resident pages.
     pub fn resident(&self) -> usize {
-        self.shards.iter().map(|s| s.state.read().map.len()).sum()
+        self.state.read().map.len()
     }
 }
 
@@ -1045,13 +800,6 @@ mod tests {
 
     fn setup(frames: usize) -> (BufferPool, Arc<MemPageStore>) {
         (BufferPool::new(frames, PS), Arc::new(MemPageStore::new(PS)))
-    }
-
-    fn setup_sharded(frames: usize, shards: usize) -> (BufferPool, Arc<MemPageStore>) {
-        (
-            BufferPool::with_shards(frames, PS, shards),
-            Arc::new(MemPageStore::new(PS)),
-        )
     }
 
     #[test]
@@ -1068,7 +816,7 @@ mod tests {
 
     #[test]
     fn write_then_evict_then_reload() {
-        let (pool, store) = setup_sharded(2, 1);
+        let (pool, store) = setup(2);
         let mut ids = Vec::new();
         // Create 2 pages, write a marker into each.
         for i in 0..2u32 {
@@ -1162,39 +910,6 @@ mod tests {
     }
 
     #[test]
-    fn retarget_across_shards_migrates_content() {
-        // 8 shards over 8 frames: find two phys ids hashing to different
-        // shards and retarget between them.
-        let (pool, store) = setup_sharded(8, 8);
-        assert_eq!(pool.shard_count(), 8);
-        let page = XPtr::new(1, 0);
-        let old = store.alloc().unwrap();
-        let mut new = store.alloc().unwrap();
-        while pool.shard_of(new) == pool.shard_of(old) {
-            new = store.alloc().unwrap();
-        }
-        let fref = pool.acquire_fresh(page, old, store.as_ref()).unwrap();
-        {
-            let mut w = pool.try_write(&fref, old).unwrap();
-            w.bytes_mut()[PAGE_HEADER_LEN] = 77;
-        }
-        let fref2 = pool.retarget(page, old, new, store.as_ref()).unwrap();
-        // Old version was flushed to its slot before migration.
-        let mut buf = vec![0u8; PS];
-        store.read(old, &mut buf).unwrap();
-        assert_eq!(buf[PAGE_HEADER_LEN], 77);
-        // The content now answers under new_phys, in the new shard.
-        let r = pool.try_read(&fref2, new).unwrap();
-        assert_eq!(r.bytes()[PAGE_HEADER_LEN], 77);
-        drop(r);
-        // The old mapping is gone.
-        assert!(pool.try_read(&fref, old).is_none());
-        let st = pool.shard_stats();
-        assert_eq!(st[pool.shard_of(new)].resident, 1);
-        assert_eq!(st[pool.shard_of(old)].resident, 0);
-    }
-
-    #[test]
     fn lockfree_hits_counted_on_hot_path() {
         let (pool, store) = setup(4);
         let page = XPtr::new(0, PS as u32);
@@ -1209,8 +924,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_lookup_invariant_holds() {
-        let (pool, store) = setup_sharded(8, 4);
+    fn lookups_are_hits_plus_misses() {
+        let (pool, store) = setup(8);
         let mut pages = Vec::new();
         for i in 0..32u32 {
             let page = XPtr::new(0, (i + 1) * PS as u32);
@@ -1221,23 +936,9 @@ mod tests {
         for &(page, phys) in &pages {
             let _ = pool.acquire(page, phys, store.as_ref()).unwrap();
         }
-        let mut lookups = 0;
-        for st in pool.shard_stats() {
-            assert_eq!(st.lookups, st.hits + st.misses, "shard stats: {st:?}");
-            lookups += st.lookups;
-        }
-        assert_eq!(lookups, 64);
         let s = pool.stats();
         assert_eq!(s.hits + s.misses, 64);
-    }
-
-    #[test]
-    fn shard_count_clamped_to_frames() {
-        let (pool, _) = setup_sharded(3, 8);
-        assert!(pool.shard_count() <= 2);
-        assert!(pool.shard_count().is_power_of_two());
-        let (pool, _) = setup_sharded(1, 8);
-        assert_eq!(pool.shard_count(), 1);
+        assert_eq!(pool.resident(), 8, "every frame holds exactly one page");
     }
 
     #[test]
@@ -1302,7 +1003,7 @@ mod tests {
 
     #[test]
     fn invalidate_many_discards_batch() {
-        let (pool, store) = setup_sharded(8, 4);
+        let (pool, store) = setup(8);
         let mut physes = Vec::new();
         for i in 0..6u32 {
             let page = XPtr::new(0, (i + 1) * PS as u32);
@@ -1313,9 +1014,6 @@ mod tests {
         assert_eq!(pool.resident(), 6);
         pool.invalidate_many(&physes);
         assert_eq!(pool.resident(), 0);
-        for st in pool.shard_stats() {
-            assert_eq!(st.resident, 0);
-        }
     }
 
     #[test]
@@ -1393,7 +1091,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_on_warm_pool() {
-        let (pool, store) = setup_sharded(64, 4);
+        let (pool, store) = setup(64);
         let pool = Arc::new(pool);
         let mut pages = Vec::new();
         for i in 0..32u32 {
@@ -1462,7 +1160,7 @@ mod tests {
         // Exercised under TSan in CI (name matches the `concurrent`
         // filter): guards taken and dropped from racing threads must
         // leave the live pin gauge at zero and a sane peak.
-        let (pool, store) = setup_sharded(16, 4);
+        let (pool, store) = setup(16);
         let pool = Arc::new(pool);
         let mut pages = Vec::new();
         for i in 0..8u32 {

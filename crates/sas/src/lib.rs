@@ -57,10 +57,7 @@ mod xptr;
 mod loom_models;
 
 pub use alloc::{AddressAllocator, AllocState};
-pub use buffer::{
-    default_shard_count, BufferMetrics, BufferPool, BufferStats, PageRead, PageWrite, ShardStats,
-    WriteBarrier,
-};
+pub use buffer::{BufferMetrics, BufferPool, BufferStats, PageRead, PageWrite, WriteBarrier};
 pub use error::{SasError, SasResult};
 pub use resolver::{DirectResolver, PageResolver, TxnToken, View, WritePlan};
 pub use store::{FilePageStore, MemPageStore, PageStore, PhysId};
@@ -86,11 +83,6 @@ pub struct SasConfig {
     pub layer_size: u64,
     /// Number of main-memory frames owned by the buffer pool.
     pub buffer_frames: usize,
-    /// Number of buffer-pool page-table shards. `0` selects the default
-    /// (next power of two ≥ the machine's cores); other values are
-    /// rounded up to a power of two and clamped so every shard owns at
-    /// least one frame.
-    pub buffer_shards: usize,
 }
 
 impl Default for SasConfig {
@@ -99,7 +91,6 @@ impl Default for SasConfig {
             page_size: 16 * 1024,
             layer_size: 16 * 1024 * 1024,
             buffer_frames: 1024,
-            buffer_shards: 0,
         }
     }
 }
@@ -156,11 +147,7 @@ impl Sas {
         resolver: Arc<dyn PageResolver>,
     ) -> SasResult<Arc<Self>> {
         cfg.validate()?;
-        let pool = Arc::new(BufferPool::with_shards(
-            cfg.buffer_frames,
-            cfg.page_size,
-            cfg.buffer_shards,
-        ));
+        let pool = Arc::new(BufferPool::new(cfg.buffer_frames, cfg.page_size));
         resolver.attach_pool(Arc::clone(&pool));
         Ok(Arc::new(Sas {
             cfg,
@@ -279,7 +266,6 @@ mod tests {
             page_size: 4096,
             layer_size: 1 << 20,
             buffer_frames: 16,
-            buffer_shards: 0,
         };
         assert_eq!(cfg.slots_per_layer(), 256);
     }

@@ -10,9 +10,10 @@
 //!   read as a plain counter inside a two-sweep agreement check)
 //!   admitted when a paused resetter let both sweeps agree on a mixed
 //!   state;
-//! * the sharded hit/miss path keeps the per-shard accounting invariant
-//!   `lookups == hits + misses` under concurrent hits, misses and clock
-//!   evictions, with no page content ever lost or duplicated.
+//! * the read-locked hit path and the miss path keep the pool-wide
+//!   accounting invariant (`hits + misses` equals the lookups made)
+//!   under concurrent hits, misses and clock evictions, with no page
+//!   content ever lost or duplicated.
 
 use sedna_sync::{model, thread, Arc};
 
@@ -26,7 +27,7 @@ use crate::xptr::XPtr;
 #[test]
 fn stats_never_observe_a_half_reset() {
     model::check(|| {
-        let m = BufferMetrics::for_shards(1);
+        let m = BufferMetrics::default();
         // Seed a recognizable pre-reset state before spawning.
         m.hits.inc();
         m.misses.inc();
@@ -48,13 +49,13 @@ fn stats_never_observe_a_half_reset() {
     });
 }
 
-/// Concurrent hits and a clock eviction on one shard keep the
-/// accounting invariant `lookups == hits + misses` and never lose or
+/// Concurrent hits and a clock eviction keep the pool-wide accounting
+/// invariant (`hits + misses` equals the lookups made) and never lose or
 /// duplicate a resident page.
 #[test]
-fn shard_accounting_survives_concurrent_hits_and_eviction() {
+fn pool_accounting_survives_concurrent_hits_and_eviction() {
     model::check(|| {
-        let pool = Arc::new(BufferPool::with_shards(2, 512, 1));
+        let pool = Arc::new(BufferPool::new(2, 512));
         let store = Arc::new(MemPageStore::new(512));
         // Warm both frames (single-threaded: deterministic prefix).
         let page_a = XPtr::new(0, 512);
@@ -78,18 +79,10 @@ fn shard_accounting_survives_concurrent_hits_and_eviction() {
             pool.acquire(page_a, phys_a, store.as_ref()).unwrap();
         }
         loader.join().unwrap();
-        let shard_stats = pool.shard_stats();
-        let shard = &shard_stats[0];
-        assert_eq!(
-            shard.lookups,
-            shard.hits + shard.misses,
-            "shard accounting drifted: {shard:?}"
-        );
-        // 2 warm-up lookups + 1 loader lookup + 2 root lookups.
-        assert_eq!(shard.lookups, 5);
-        assert_eq!(shard.resident, 2, "a page was lost or duplicated");
         let s = pool.stats();
-        assert_eq!(s.hits + s.misses, 5);
+        // 2 warm-up lookups + 1 loader lookup + 2 root lookups.
+        assert_eq!(s.hits + s.misses, 5, "pool accounting drifted: {s:?}");
+        assert_eq!(pool.resident(), 2, "a page was lost or duplicated");
         assert!(s.evictions >= 1, "the loader must have evicted a frame");
     });
 }
@@ -101,7 +94,7 @@ fn shard_accounting_survives_concurrent_hits_and_eviction() {
 #[test]
 fn pin_gauge_balances_across_concurrent_guard_drops() {
     model::check(|| {
-        let pool = Arc::new(BufferPool::with_shards(2, 512, 1));
+        let pool = Arc::new(BufferPool::new(2, 512));
         let store = Arc::new(MemPageStore::new(512));
         let page = XPtr::new(0, 512);
         let phys = store.alloc().unwrap();

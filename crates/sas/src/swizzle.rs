@@ -90,7 +90,6 @@ mod tests {
             page_size: 512,
             layer_size: 16 * 512,
             buffer_frames: 8,
-            buffer_shards: 0,
         })
         .unwrap();
         let vas = sas.session();
@@ -116,7 +115,6 @@ mod tests {
             page_size: 512,
             layer_size: 16 * 512,
             buffer_frames: 1,
-            buffer_shards: 0,
         })
         .unwrap();
         let vas = sas.session();

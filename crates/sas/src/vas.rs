@@ -375,7 +375,6 @@ mod tests {
             page_size: 512,
             layer_size: 8 * 512,
             buffer_frames: frames,
-            buffer_shards: 0,
         })
         .unwrap()
     }

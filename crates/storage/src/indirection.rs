@@ -56,7 +56,6 @@ mod tests {
             page_size: 1024,
             layer_size: 64 * 1024,
             buffer_frames: 16,
-            buffer_shards: 0,
         })
         .unwrap();
         let vas = sas.session();
@@ -81,7 +80,6 @@ mod tests {
             page_size: 1024,
             layer_size: 64 * 1024,
             buffer_frames: 16,
-            buffer_shards: 0,
         })
         .unwrap();
         let vas = sas.session();

@@ -317,7 +317,6 @@ mod tests {
             page_size: 512,
             layer_size: 512 * 256,
             buffer_frames: 256,
-            buffer_shards: 0,
         })
         .unwrap();
         let vas = sas.session();

@@ -313,7 +313,6 @@ mod tests {
             page_size: 1024,
             layer_size: 64 * 1024,
             buffer_frames: 64,
-            buffer_shards: 0,
         })
         .unwrap();
         let vas = sas.session();

@@ -17,7 +17,6 @@ fn setup(page_size: usize) -> (Arc<Sas>, Vas) {
         page_size,
         layer_size: (page_size * 1024) as u64,
         buffer_frames: 2048,
-        buffer_shards: 0,
     })
     .unwrap();
     let vas = sas.session();

@@ -244,7 +244,6 @@ fn run_model(ops: Vec<Op>, mode: ParentMode, page_size: usize) {
         page_size,
         layer_size: page_size as u64 * 8192,
         buffer_frames: 8192,
-        buffer_shards: 0,
     })
     .unwrap();
     let vas = sas.session();

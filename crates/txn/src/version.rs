@@ -317,9 +317,9 @@ impl VersionManager {
         }
     }
 
-    /// Discards cached frames for a batch of freed version slots. Grouping
-    /// by pool shard happens inside [`BufferPool::invalidate_many`], so a
-    /// multi-page commit/rollback takes each shard lock at most once.
+    /// Discards cached frames for a batch of freed version slots in one
+    /// [`BufferPool::invalidate_many`] call, so a multi-page
+    /// commit/rollback takes the pool's page-table lock once.
     fn invalidate_batch(&self, physes: &[PhysId]) {
         if physes.is_empty() {
             return;

@@ -1045,6 +1045,17 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// Atomizes a key argument, which must be exactly one item.
+    fn atomize_key(&self, seq: &Sequence) -> QueryResult<Atom> {
+        match seq.as_slice() {
+            [item] => self.atomize_item(item),
+            _ => Err(QueryError::Dynamic(format!(
+                "expected a single key value, got {} items",
+                seq.len()
+            ))),
+        }
+    }
+
     /// Effective boolean value.
     pub fn ebv(&self, seq: &Sequence) -> QueryResult<bool> {
         match seq.as_slice() {
@@ -1154,7 +1165,7 @@ impl<'a> Executor<'a> {
                 Ok(())
             }
             (_, NodeId::Temp(id)) => {
-                let copy = self.deep_copy_temp(id);
+                let copy = self.deep_copy_temp(id)?;
                 self.arena.add_child(parent, TempChild::Temp(copy));
                 Ok(())
             }
@@ -1190,7 +1201,7 @@ impl<'a> Executor<'a> {
         Ok(id)
     }
 
-    fn deep_copy_temp(&mut self, src: TempId) -> TempId {
+    fn deep_copy_temp(&mut self, src: TempId) -> QueryResult<TempId> {
         self.stats.ctor_copies += 1;
         let node = self.arena.get(src).clone();
         let id = self.arena.push(TempNode {
@@ -1203,18 +1214,17 @@ impl<'a> Executor<'a> {
         for c in node.children {
             match c {
                 TempChild::Temp(t) => {
-                    let cc = self.deep_copy_temp(t);
+                    let cc = self.deep_copy_temp(t)?;
                     self.arena.add_child(id, TempChild::Temp(cc));
                 }
                 TempChild::StoredRef { doc, node } => {
                     // Copying a virtual node materializes it.
-                    if let Ok(cc) = self.deep_copy_stored(doc, node) {
-                        self.arena.add_child(id, TempChild::Temp(cc));
-                    }
+                    let cc = self.deep_copy_stored(doc, node)?;
+                    self.arena.add_child(id, TempChild::Temp(cc));
                 }
             }
         }
-        id
+        Ok(id)
     }
 
     // ==============================================================
@@ -1490,7 +1500,7 @@ impl<'a> Executor<'a> {
                 })
             }
             "index-of" => {
-                let target = self.atomize_item(&arg(1)[0])?;
+                let target = self.atomize_key(arg(1))?;
                 let mut out = Vec::new();
                 for (i, item) in arg(0).iter().enumerate() {
                     if atoms_equal(&self.atomize_item(item)?, &target) {
@@ -1506,8 +1516,7 @@ impl<'a> Executor<'a> {
             }
             "index-scan" => {
                 let iname = one_string(self, arg(0))?;
-                let key_atom = self.atomize_item(&arg(1)[0])?;
-                let key = atom_to_index_key(&key_atom);
+                let key = atom_to_index_key(&self.atomize_key(arg(1))?);
                 let entry = self.index_entry(&iname)?;
                 let handles = entry
                     .index
@@ -1523,8 +1532,8 @@ impl<'a> Executor<'a> {
             }
             "index-scan-between" => {
                 let iname = one_string(self, arg(0))?;
-                let lo = atom_to_index_key(&self.atomize_item(&arg(1)[0])?);
-                let hi = atom_to_index_key(&self.atomize_item(&arg(2)[0])?);
+                let lo = atom_to_index_key(&self.atomize_key(arg(1))?);
+                let hi = atom_to_index_key(&self.atomize_key(arg(2))?);
                 let entry = self.index_entry(&iname)?;
                 let handles = entry
                     .index

@@ -24,7 +24,6 @@ fn fixture(xml: &str) -> Fixture {
         page_size: 4096,
         layer_size: 4096 * 1024,
         buffer_frames: 4096,
-        buffer_shards: 0,
     })
     .unwrap();
     let vas = sas.session();

@@ -18,7 +18,6 @@ fn setup(xml: &str, page_size: usize) -> (Arc<Sas>, Vas, SchemaTree, DocStorage)
         page_size,
         layer_size: page_size as u64 * 4096,
         buffer_frames: 4096,
-        buffer_shards: 0,
     })
     .unwrap();
     let vas = sas.session();

@@ -19,7 +19,6 @@ fn setup(xml: &str) -> (Arc<Sas>, Vas, SchemaTree, DocStorage) {
         page_size: 4096,
         layer_size: 4096 * 4096,
         buffer_frames: 4096,
-        buffer_shards: 0,
     })
     .unwrap();
     let vas = sas.session();

@@ -7,15 +7,10 @@
 use sedna_sas::{Sas, SasConfig, TxnToken, View, XPtr};
 
 fn tiny_sas(frames: usize) -> std::sync::Arc<Sas> {
-    sharded_sas(frames, 0)
-}
-
-fn sharded_sas(frames: usize, shards: usize) -> std::sync::Arc<Sas> {
     Sas::in_memory(SasConfig {
         page_size: 512,
         layer_size: 8 * 512,
         buffer_frames: frames,
-        buffer_shards: shards,
     })
     .unwrap()
 }
@@ -125,56 +120,6 @@ fn unit_of_disk_interaction_is_the_page_not_the_layer() {
     // Both resident simultaneously: no faults.
     assert_eq!(vas.stats().faults, 0);
     assert_eq!(vas.stats().hits, 2);
-}
-
-#[test]
-fn figure4_invariants_hold_per_shard() {
-    // The sharded pool must preserve the figure's semantics shard by
-    // shard: equality-basis slot conflicts, the fault path through the
-    // buffer manager, and exact per-shard accounting
-    // (lookups == hits + misses, resident pages hash to their shard).
-    let sas = sharded_sas(16, 4);
-    assert_eq!(sas.pool().shard_count(), 4);
-    let vas = sas.session();
-    vas.begin(View::LATEST, Some(TxnToken(1)));
-    let mut pages = Vec::new();
-    for _ in 0..12 {
-        let (p, mut w) = vas.alloc_page().unwrap();
-        w.bytes_mut()[16] = (p.raw() % 251) as u8;
-        drop(w);
-        pages.push(p);
-    }
-    // Same within-layer offset in two layers still conflicts on the VAS
-    // slot regardless of which pool shard holds each page.
-    let a = *pages
-        .iter()
-        .find(|p| p.layer() == 0 && p.addr() == 512)
-        .unwrap();
-    let b = *pages
-        .iter()
-        .find(|p| p.layer() == 1 && p.addr() == 512)
-        .unwrap();
-    vas.reset_stats();
-    let _ = vas.read(a).unwrap();
-    let _ = vas.read(b).unwrap();
-    let _ = vas.read(a).unwrap();
-    assert!(vas.stats().layer_conflicts >= 2);
-    // Every page faults in and reads back its own marker.
-    for &p in &pages {
-        assert_eq!(vas.read(p).unwrap()[16], (p.raw() % 251) as u8);
-    }
-    // Per-shard accounting is exact at this quiescent point.
-    let shard_stats = sas.pool().shard_stats();
-    assert_eq!(shard_stats.len(), 4);
-    for (si, s) in shard_stats.iter().enumerate() {
-        assert_eq!(s.lookups, s.hits + s.misses, "shard {si} accounting");
-        assert!(s.resident <= s.frames, "shard {si} capacity");
-    }
-    // Pages landed in more than one shard (the hash actually spreads).
-    assert!(
-        shard_stats.iter().filter(|s| s.resident > 0).count() > 1,
-        "working set must span shards: {shard_stats:?}"
-    );
 }
 
 #[test]
