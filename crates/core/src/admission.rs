@@ -96,9 +96,9 @@ impl SessionGate {
     }
 }
 
-/// The catalog generation: a monotonic counter every catalog-shape
-/// change bumps (successful DDL, or an update-transaction rollback
-/// restoring catalog entries).
+/// The catalog generation: a monotonic counter bumped when a commit
+/// publishes a catalog-shape change (a document or index created or
+/// dropped).
 ///
 /// The plan cache keys entries by `(statement text, generation)`, so a
 /// bump lazily invalidates every cached plan without a conservative

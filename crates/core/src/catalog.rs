@@ -1,13 +1,20 @@
 //! The database catalog: named documents and value indexes, with the
 //! binary codecs used by checkpoint records and commit-time catalog
 //! deltas.
+//!
+//! The published catalog is an immutable value behind an `Arc`: a
+//! snapshot is a pointer copy, and a commit publishes a new root that
+//! shares every entry it did not write with the root before it. An update
+//! transaction keeps its writes in a private [`CatalogWrites`] map over
+//! the published root until it commits.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use sedna_index::{BTreeIndex, IndexKey};
 use sedna_sas::{Vas, XPtr};
 use sedna_schema::{NodeKind, SchemaNodeId, SchemaTree};
 use sedna_storage::{block, DocStorage, NodeRef, ParentMode};
+use sedna_sync::Arc;
 use sedna_xquery::ast::{Axis, IndexKeyType, NodeTest, Step};
 use sedna_xquery::cost::schema_step;
 
@@ -48,39 +55,171 @@ pub struct IndexData {
     pub tree: BTreeIndex,
 }
 
-/// The catalog.
+/// The catalog. Entries are shared: cloning a catalog copies pointers.
 #[derive(Default, Clone)]
 pub struct Catalog {
     /// Documents by name.
-    pub docs: HashMap<String, DocData>,
+    pub docs: HashMap<String, Arc<DocData>>,
     /// Indexes by name.
-    pub indexes: HashMap<String, IndexData>,
+    pub indexes: HashMap<String, Arc<IndexData>>,
     /// Next document id.
     pub next_doc_id: u64,
 }
 
-impl Catalog {
-    /// Looks up a document or fails with [`DbError::NotFound`].
-    pub fn doc(&self, name: &str) -> DbResult<&DocData> {
-        self.docs
-            .get(name)
-            .ok_or_else(|| DbError::NotFound(format!("document '{name}'")))
+/// An update transaction's private catalog: the entries it wrote, by
+/// name, over the published root it reads every other entry from. `None`
+/// marks a drop. The first write of an entry copies it out of the root
+/// (`Arc::make_mut`); commit logs and publishes the map, rollback drops it.
+#[derive(Default)]
+pub(crate) struct CatalogWrites {
+    docs: BTreeMap<String, Option<Arc<DocData>>>,
+    indexes: BTreeMap<String, Option<Arc<IndexData>>>,
+}
+
+/// Entry `name` of `root` as seen through `writes`.
+fn lookup<'a, T>(
+    writes: &'a BTreeMap<String, Option<Arc<T>>>,
+    root: &'a HashMap<String, Arc<T>>,
+    name: &str,
+) -> Option<&'a Arc<T>> {
+    match writes.get(name) {
+        Some(entry) => entry.as_ref(),
+        None => root.get(name),
+    }
+}
+
+/// The transaction's own copy of entry `name`, copied from `root` on the
+/// first write.
+fn lookup_mut<'a, T: Clone>(
+    writes: &'a mut BTreeMap<String, Option<Arc<T>>>,
+    root: &HashMap<String, Arc<T>>,
+    name: &str,
+) -> Option<&'a mut T> {
+    if !writes.contains_key(name) {
+        writes.insert(name.to_string(), Some(Arc::clone(root.get(name)?)));
+    }
+    writes.get_mut(name)?.as_mut().map(Arc::make_mut)
+}
+
+/// Moves `writes` into `root`, and the entries they displace into `writes`.
+fn publish_into<T>(
+    root: &mut HashMap<String, Arc<T>>,
+    writes: &mut BTreeMap<String, Option<Arc<T>>>,
+) {
+    for (name, entry) in writes.iter_mut() {
+        *entry = match entry.take() {
+            Some(new) => root.insert(name.clone(), new),
+            None => root.remove(name),
+        };
+    }
+}
+
+fn not_found(what: &str, name: &str) -> DbError {
+    DbError::NotFound(format!("{what} '{name}'"))
+}
+
+impl CatalogWrites {
+    /// Document `name` as the transaction sees it.
+    pub(crate) fn doc<'a>(&'a self, root: &'a Catalog, name: &str) -> DbResult<&'a Arc<DocData>> {
+        lookup(&self.docs, &root.docs, name).ok_or_else(|| not_found("document", name))
     }
 
-    /// Mutable document lookup.
-    pub fn doc_mut(&mut self, name: &str) -> DbResult<&mut DocData> {
-        self.docs
-            .get_mut(name)
-            .ok_or_else(|| DbError::NotFound(format!("document '{name}'")))
+    /// Index `name` as the transaction sees it.
+    pub(crate) fn index<'a>(
+        &'a self,
+        root: &'a Catalog,
+        name: &str,
+    ) -> DbResult<&'a Arc<IndexData>> {
+        lookup(&self.indexes, &root.indexes, name).ok_or_else(|| not_found("index", name))
     }
 
-    /// Indexes covering document `doc`.
-    pub fn indexes_of(&self, doc: &str) -> Vec<String> {
-        self.indexes
-            .values()
-            .filter(|i| i.meta.doc == doc)
-            .map(|i| i.meta.name.clone())
+    /// The transaction's own copy of document `name`.
+    pub(crate) fn doc_mut(&mut self, root: &Catalog, name: &str) -> DbResult<&mut DocData> {
+        lookup_mut(&mut self.docs, &root.docs, name).ok_or_else(|| not_found("document", name))
+    }
+
+    /// The transaction's own copy of index `name`.
+    pub(crate) fn index_mut(&mut self, root: &Catalog, name: &str) -> DbResult<&mut IndexData> {
+        lookup_mut(&mut self.indexes, &root.indexes, name).ok_or_else(|| not_found("index", name))
+    }
+
+    /// Writes document `name`, or drops it with `None`.
+    pub(crate) fn put_doc(&mut self, name: &str, doc: Option<DocData>) {
+        self.docs.insert(name.to_string(), doc.map(Arc::new));
+    }
+
+    /// Writes index `name`, or drops it with `None`.
+    pub(crate) fn put_index(&mut self, name: &str, index: Option<IndexData>) {
+        self.indexes.insert(name.to_string(), index.map(Arc::new));
+    }
+
+    /// Names of the indexes on document `doc`, as the transaction sees them.
+    pub(crate) fn indexes_of(&self, root: &Catalog, doc: &str) -> Vec<String> {
+        let names: BTreeSet<&String> = root.indexes.keys().chain(self.indexes.keys()).collect();
+        names
+            .into_iter()
+            .filter(|n| self.index(root, n).is_ok_and(|i| i.meta.doc == doc))
+            .cloned()
             .collect()
+    }
+
+    /// The catalog a statement of the transaction reads: the documents
+    /// `names` that exist and every index on them.
+    pub(crate) fn view(&self, root: &Catalog, names: &[String]) -> Catalog {
+        let docs = names
+            .iter()
+            .filter_map(|n| Some((n.clone(), Arc::clone(self.doc(root, n).ok()?))))
+            .collect();
+        let indexes = names
+            .iter()
+            .flat_map(|doc| self.indexes_of(root, doc))
+            .filter_map(|n| Some((n.clone(), Arc::clone(self.index(root, &n).ok()?))))
+            .collect();
+        Catalog {
+            docs,
+            indexes,
+            ..Catalog::default()
+        }
+    }
+
+    /// Whether publishing changes which documents or indexes exist — the
+    /// catalog shape that compiled plans depend on.
+    pub(crate) fn reshapes(&self, root: &Catalog) -> bool {
+        self.docs
+            .iter()
+            .any(|(n, d)| d.is_some() != root.docs.contains_key(n))
+            || self
+                .indexes
+                .iter()
+                .any(|(n, i)| i.is_some() != root.indexes.contains_key(n))
+    }
+
+    /// The commit's catalog log records, in key order: `(key, Some(payload))`
+    /// for a `CatalogPut`, `(key, None)` for a `CatalogDrop`.
+    pub(crate) fn records(&self) -> Vec<(String, Option<Vec<u8>>)> {
+        let docs = self
+            .docs
+            .iter()
+            .map(|(n, d)| (format!("doc:{n}"), d.as_deref().map(doc_payload)));
+        let indexes = self
+            .indexes
+            .iter()
+            .map(|(n, i)| (format!("index:{n}"), i.as_deref().map(index_payload)));
+        docs.chain(indexes).collect()
+    }
+
+    /// Whether the transaction wrote no catalog entry.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.docs.is_empty() && self.indexes.is_empty()
+    }
+
+    /// Applies the writes to `root`: the entries it did not write stay
+    /// shared with the root it was copied from. The entries it replaces
+    /// or removes move into `self`, so that they are freed when the
+    /// caller drops it, outside its locks.
+    pub(crate) fn publish(&mut self, root: &mut Catalog) {
+        publish_into(&mut root.docs, &mut self.docs);
+        publish_into(&mut root.indexes, &mut self.indexes);
     }
 }
 
@@ -312,14 +451,14 @@ pub fn catalog_from_blob(bytes: &[u8]) -> Option<Catalog> {
         let name = r.str()?;
         let n = r.u32()? as usize;
         let data = doc_from_payload(r.take(n)?)?;
-        cat.docs.insert(name, data);
+        cat.docs.insert(name, Arc::new(data));
     }
     let ni = r.u32()? as usize;
     for _ in 0..ni {
         let name = r.str()?;
         let n = r.u32()? as usize;
         let data = index_from_payload(r.take(n)?)?;
-        cat.indexes.insert(name, data);
+        cat.indexes.insert(name, Arc::new(data));
     }
     Some(cat)
 }
@@ -524,15 +663,15 @@ mod tests {
         };
         cat.docs.insert(
             "lib".into(),
-            DocData {
+            Arc::new(DocData {
                 id: 1,
                 schema,
                 storage,
-            },
+            }),
         );
         cat.indexes.insert(
             "byyear".into(),
-            IndexData {
+            Arc::new(IndexData {
                 meta: IndexMeta {
                     name: "byyear".into(),
                     doc: "lib".into(),
@@ -547,7 +686,7 @@ mod tests {
                     key_type: IndexKeyType::Number,
                 },
                 tree: BTreeIndex::open(XPtr::new(1, 0), 42),
-            },
+            }),
         );
         cat
     }

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use sedna_sas::{FilePageStore, PageResolver, PageStore, Sas, SasConfig, View, XPtr};
 use sedna_sync::{Arc, Condvar, Mutex, RwLock};
-use sedna_txn::{branch_latest_view, TxnManager, ROOT_BRANCH};
+use sedna_txn::{branch_latest_view, TxnHandle, TxnId, TxnManager, ROOT_BRANCH};
 use sedna_wal::record::AllocSnapshot;
 use sedna_wal::{
     plan_recovery, BranchEvent, BranchMeta, CheckpointData, PageOp, RedoOp, WalRecord, WalWriter,
@@ -18,7 +18,7 @@ use sedna_wal::{
 use sedna_obs::{SpanEvent, TraceBuffer};
 
 use crate::admission::{CatalogGeneration, SessionGate, StatsEpoch};
-use crate::catalog::{self, Catalog};
+use crate::catalog::{self, Catalog, CatalogWrites};
 use crate::config::DbConfig;
 use crate::error::{DbError, DbResult};
 use crate::introspect::{ActivityReport, ActivityTracker, SlowLog, SlowQueryEntry};
@@ -161,12 +161,12 @@ impl Family {
 }
 
 /// One policy-retained commit snapshot (`AS OF` support): the version
-/// manager pins its page versions against purge; the catalog clone
-/// restores the metadata view of that moment.
+/// manager pins its page versions against purge; the catalog of the same
+/// commit is the metadata view of that moment.
 struct RetainedSnapshot {
     ts: u64,
     at: Instant,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
 }
 
 pub(crate) struct DbInner {
@@ -176,7 +176,10 @@ pub(crate) struct DbInner {
     pub(crate) store: Arc<FilePageStore>,
     pub(crate) txns: Arc<TxnManager>,
     pub(crate) wal: Arc<Mutex<WalWriter>>,
-    pub(crate) catalog: RwLock<Catalog>,
+    /// The published catalog of this branch: replaced, never mutated in
+    /// place while shared, by [`DbInner::publish`]. The lock guards only
+    /// the pointer; see [`DbInner::begin_snapshot`].
+    catalog: RwLock<Arc<Catalog>>,
     pub(crate) gate: Arc<TxnGate>,
     /// The branch this handle reads and writes ([`ROOT_BRANCH`] for the
     /// primary database).
@@ -199,11 +202,12 @@ pub(crate) struct DbInner {
     /// Session admission control (live-session accounting behind
     /// [`Database::try_session`]); see [`SessionGate`].
     pub(crate) sessions: SessionGate,
-    /// Catalog generation: bumped on every catalog-shape change (DDL
-    /// success, update-transaction rollback restoring catalog entries).
-    /// Plan caches key entries by `(statement text, generation)`, so a
-    /// bump lazily invalidates every cached plan — in this session and
-    /// every other — without a conservative cache clear.
+    /// Catalog generation: bumped when a commit publishes a catalog-shape
+    /// change (a document or index created or dropped), inside the
+    /// publishing catalog write section. Plan caches key entries by
+    /// `(statement text, generation)`, so a bump lazily invalidates every
+    /// cached plan — in this session and every other — without a
+    /// conservative cache clear.
     pub(crate) catalog_generation: CatalogGeneration,
     /// Statistics epoch: bumped on bulk data changes (document load/drop,
     /// committed update statements). The cost-based planner keys cached
@@ -261,6 +265,56 @@ impl DbInner {
         self.root.as_deref().unwrap_or(self)
     }
 
+    /// The published catalog. Holding the pointer is the snapshot.
+    pub(crate) fn published(&self) -> Arc<Catalog> {
+        Arc::clone(&self.catalog.read())
+    }
+
+    /// The published catalog and its generation, read together: a commit
+    /// bumps the generation inside its publishing write section.
+    pub(crate) fn published_with_generation(&self) -> (Arc<Catalog>, u64) {
+        let root = self.catalog.read();
+        (Arc::clone(&root), self.catalog_generation.current())
+    }
+
+    /// Begins a read-only transaction paired with the catalog of the same
+    /// commit: [`DbInner::publish`] takes a commit's timestamp and swaps
+    /// its root under the write lock, so a reader that pins its page
+    /// snapshot and clones the root under the read lock sees all of a
+    /// commit or none of it.
+    pub(crate) fn begin_snapshot(&self) -> (TxnHandle, Arc<Catalog>) {
+        let root = self.catalog.read();
+        (self.txns.begin_read_only_on(self.branch), Arc::clone(&root))
+    }
+
+    /// Takes a document id from a counter that never rolls back: an
+    /// aborted `CREATE DOCUMENT` leaves a gap, and recovery resumes at
+    /// one past the largest logged id.
+    pub(crate) fn next_doc_id(&self) -> u64 {
+        let mut root = self.catalog.write();
+        let cat = Arc::make_mut(&mut root);
+        cat.next_doc_id += 1;
+        cat.next_doc_id - 1
+    }
+
+    /// Commits update transaction `txn`'s page versions and publishes its
+    /// catalog writes onto the current root in one catalog write section,
+    /// returning the commit timestamp. The root is copied only while a
+    /// snapshot still holds it, and the copy shares every entry `writes`
+    /// does not replace; the replaced entries are left in `writes`.
+    pub(crate) fn publish(&self, txn: TxnId, writes: &mut CatalogWrites) -> u64 {
+        let mut root = self.catalog.write();
+        let ts = self.txns.versions.commit(txn);
+        if !writes.is_empty() {
+            let reshaped = writes.reshapes(&root);
+            writes.publish(Arc::make_mut(&mut root));
+            if reshaped {
+                self.catalog_generation.bump();
+            }
+        }
+        ts
+    }
+
     /// Applies the snapshot-retention policy after a successful update
     /// commit: retains the new commit snapshot for `AS OF` reads and
     /// evicts by count and age.
@@ -270,7 +324,13 @@ impl DbInner {
         if keep == 0 && max_ms == 0 {
             return;
         }
-        let snap = self.txns.versions.create_snapshot_on(self.branch);
+        let (snap, catalog) = {
+            let root = self.catalog.read();
+            (
+                self.txns.versions.create_snapshot_on(self.branch),
+                Arc::clone(&root),
+            )
+        };
         let mut ring = self.retained.lock();
         if ring.back().is_some_and(|r| r.ts == snap.ts) {
             // Already retained at this ts; drop the extra pin.
@@ -279,7 +339,7 @@ impl DbInner {
             ring.push_back(RetainedSnapshot {
                 ts: snap.ts,
                 at: Instant::now(),
-                catalog: self.catalog.read().clone(),
+                catalog,
             });
         }
         while keep > 0 && ring.len() > keep {
@@ -352,7 +412,7 @@ impl Database {
                 store,
                 txns,
                 wal: Arc::new(Mutex::new(wal)),
-                catalog: RwLock::new(Catalog::default()),
+                catalog: RwLock::new(Arc::default()),
                 gate: Arc::new(TxnGate::new()),
                 branch: ROOT_BRANCH,
                 name: String::new(),
@@ -382,15 +442,13 @@ impl Database {
         shared: &Arc<DbInner>,
         branch: u32,
         name: String,
-        mut catalog: Catalog,
+        mut catalog: Arc<Catalog>,
     ) -> Arc<DbInner> {
         // Forks register only their per-fork metric families; the shared
         // pool/txn/wal/fork handles live in the root's registry and must
         // not be duplicated (the governor merges every registry).
         let obs = DbObs::new();
-        for idx in catalog.indexes.values_mut() {
-            idx.tree.set_metrics(obs.index.clone());
-        }
+        set_index_metrics(&mut catalog, &obs);
         let root = Some(match &shared.root {
             Some(r) => Arc::clone(r),
             None => Arc::clone(shared),
@@ -427,8 +485,9 @@ impl Database {
 
     /// Forks this database instantly: the fork shares every committed
     /// page with its branch point copy-on-write and diverges through the
-    /// ordinary version-chain write path. O(catalog): no data page is
-    /// read or copied; the cost is one catalog clone plus one WAL record.
+    /// ordinary version-chain write path. No data page is read or copied,
+    /// and the fork's catalog shares the branch point's entries; the cost
+    /// is one WAL record.
     ///
     /// The fork is durable (it survives restart and checkpoint) and
     /// lives until [`Database::drop_fork`] — dropping all handles to it
@@ -443,7 +502,10 @@ impl Database {
                 return Err(DbError::Conflict(format!("fork '{name}' already exists")));
             }
             let branch = inner.family.alloc_branch();
-            let ts = inner.txns.versions.current_ts();
+            let (ts, catalog) = {
+                let root = inner.catalog.read();
+                (inner.txns.versions.current_ts(), Arc::clone(&root))
+            };
             {
                 let mut wal = inner.wal.lock();
                 wal.append(&WalRecord::Fork {
@@ -455,7 +517,6 @@ impl Database {
                 wal.flush()?;
             }
             inner.txns.versions.create_branch(branch, inner.branch, ts);
-            let catalog = inner.catalog.read().clone();
             let fork = Self::new_family_member(inner, branch, name.to_string(), catalog);
             inner
                 .family
@@ -564,7 +625,7 @@ impl Database {
             ring.iter()
                 .rev()
                 .find(|r| r.ts <= ts)
-                .map(|r| (r.ts, r.catalog.clone()))
+                .map(|r| (r.ts, Arc::clone(&r.catalog)))
         }
         .ok_or_else(|| {
             DbError::NotFound(format!(
@@ -767,11 +828,9 @@ impl Database {
         wal.metrics().register_into(&obs.registry);
         let fork_metrics = ForkMetrics::default();
         fork_metrics.register_into(&obs.registry);
-        let mut catalog = catalogs.remove(&ROOT_BRANCH).unwrap_or_default();
+        let mut catalog = Arc::new(catalogs.remove(&ROOT_BRANCH).unwrap_or_default());
         // Recovered indexes report into this database's shared handles.
-        for idx in catalog.indexes.values_mut() {
-            idx.tree.set_metrics(obs.index.clone());
-        }
+        set_index_metrics(&mut catalog, &obs);
         let shared_plans = SharedPlanCache::new(
             cfg.plan_cache_capacity,
             obs.query.plan_cache_shared_lock_waits.clone(),
@@ -810,7 +869,7 @@ impl Database {
         defs.sort_by_key(|(b, _)| *b);
         for (branch, name) in defs {
             let cat = catalogs.remove(&branch).unwrap_or_default();
-            let fork = Self::new_family_member(&db.inner, branch, name.clone(), cat);
+            let fork = Self::new_family_member(&db.inner, branch, name.clone(), Arc::new(cat));
             db.inner.family.add_fork(branch, name, fork);
         }
         db.inner
@@ -847,10 +906,10 @@ impl Database {
         self.inner.sessions.active()
     }
 
-    /// The current catalog generation. Bumped on every catalog-shape
-    /// change (DDL, update-transaction rollback); plan caches key
-    /// entries by `(statement text, generation)` so stale plans miss
-    /// instead of requiring a conservative clear.
+    /// The current catalog generation. Bumped when a commit publishes a
+    /// catalog-shape change (a document or index created or dropped);
+    /// plan caches key entries by `(statement text, generation)` so stale
+    /// plans miss instead of requiring a conservative clear.
     pub fn catalog_generation(&self) -> u64 {
         self.inner.catalog_generation.current()
     }
@@ -869,7 +928,7 @@ impl Database {
     /// material of the cost-based planner, exposed for introspection
     /// and tests.
     pub fn schema_stats(&self, doc: &str) -> DbResult<Vec<sedna_schema::SchemaNodeStats>> {
-        let catalog = self.inner.catalog.read();
+        let catalog = self.inner.published();
         let data = catalog
             .docs
             .get(doc)
@@ -967,7 +1026,7 @@ impl Database {
                     parent: info.parent,
                     fork_ts: info.fork_ts,
                     name,
-                    catalog: catalog::catalog_blob(&member.catalog.read()),
+                    catalog: catalog::catalog_blob(&member.published()),
                 });
             }
             let cp = CheckpointData {
@@ -979,7 +1038,7 @@ impl Database {
                     next_addr: alloc.next_addr,
                     free: alloc.free,
                 },
-                catalog: catalog::catalog_blob(&inner.root_member().catalog.read()),
+                catalog: catalog::catalog_blob(&inner.root_member().published()),
                 branches,
             };
             let mut wal = inner.wal.lock();
@@ -1070,16 +1129,16 @@ impl Database {
         self.inner.txns.versions.stats()
     }
 
-    /// Names of the documents in the catalog.
+    /// Names of the documents in the published catalog.
     pub fn document_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.catalog.read().docs.keys().cloned().collect();
+        let mut names: Vec<String> = self.inner.published().docs.keys().cloned().collect();
         names.sort();
         names
     }
 
-    /// Names of the indexes in the catalog.
+    /// Names of the indexes in the published catalog.
     pub fn index_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.catalog.read().indexes.keys().cloned().collect();
+        let mut names: Vec<String> = self.inner.published().indexes.keys().cloned().collect();
         names.sort();
         names
     }
@@ -1090,15 +1149,26 @@ fn apply_catalog_put(catalog: &mut Catalog, key: &str, payload: &[u8]) -> DbResu
         let data = catalog::doc_from_payload(payload)
             .ok_or_else(|| DbError::Conflict(format!("corrupt catalog record for {key}")))?;
         catalog.next_doc_id = catalog.next_doc_id.max(data.id + 1);
-        catalog.docs.insert(name.to_string(), data);
+        catalog.docs.insert(name.to_string(), Arc::new(data));
         Ok(())
     } else if let Some(name) = key.strip_prefix("index:") {
         let data = catalog::index_from_payload(payload)
             .ok_or_else(|| DbError::Conflict(format!("corrupt catalog record for {key}")))?;
-        catalog.indexes.insert(name.to_string(), data);
+        catalog.indexes.insert(name.to_string(), Arc::new(data));
         Ok(())
     } else {
         Err(DbError::Conflict(format!("unknown catalog key '{key}'")))
+    }
+}
+
+/// Points the indexes of `catalog` at one database's metric handles,
+/// copying only the index entries.
+fn set_index_metrics(catalog: &mut Arc<Catalog>, obs: &DbObs) {
+    if catalog.indexes.is_empty() {
+        return;
+    }
+    for idx in Arc::make_mut(catalog).indexes.values_mut() {
+        Arc::make_mut(idx).tree.set_metrics(obs.index.clone());
     }
 }
 

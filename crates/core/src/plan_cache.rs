@@ -9,8 +9,8 @@
 //! on all of them.
 //!
 //! Invalidation contract: every entry is stamped with a [`PlanKey`] —
-//! the **catalog generation** (bumped by every catalog-shape change:
-//! DDL, or an update-transaction rollback restoring catalog entries)
+//! the **catalog generation** (bumped when a commit publishes a
+//! catalog-shape change: a document or index created or dropped)
 //! and the **statistics epoch** (bumped by bulk data changes: document
 //! load/drop, committed updates — so the cost-based planner re-costs
 //! plans whose access-path choice may have flipped). A lookup whose

@@ -18,8 +18,8 @@
 //! this branch), page frees and catalog entries follow, then the commit
 //! record; the log is forced before locks are released.
 //! Rollback needs no undo log — working page versions are simply
-//! discarded (§6.1) and the in-memory catalog entries are restored from
-//! the transaction's undo copies.
+//! discarded (§6.1), and so are the transaction's private catalog
+//! writes, which no other session ever saw.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::time::Instant;
@@ -30,8 +30,8 @@ use sedna_index::IndexKey;
 use sedna_obs::trace::{events, SamplingPolicy, TraceCollector};
 use sedna_sas::{Vas, XPtr};
 use sedna_schema::{NodeKind, SchemaTree};
-use sedna_storage::{build, indirection, NodeRef, ParentMode};
-use sedna_txn::{LockMode, TxnHandle};
+use sedna_storage::{build, indirection, DocStorage, NodeRef, ParentMode};
+use sedna_txn::{LockMode, TxnHandle, TxnId};
 use sedna_wal::WalRecord;
 use sedna_xquery::ast::{
     DdlStmt, Expr, InsertPos, PathStart, Statement, StatementKind, UpdateStmt,
@@ -42,7 +42,7 @@ use sedna_xquery::update::{self, UpdatePlan};
 use sedna_xquery::value::Atom;
 
 use crate::cancel::CancelFlag;
-use crate::catalog::{self, Catalog, DocData, IndexData, IndexMeta};
+use crate::catalog::{self, Catalog, CatalogWrites, DocData, IndexData, IndexMeta};
 use crate::database::DbInner;
 use crate::error::{DbError, DbResult};
 use crate::introspect::{SessionTrack, TxnMode};
@@ -136,9 +136,6 @@ fn record_phase_spans(tc: &mut Option<TraceCollector>, parse_ns: u64, rewrite_ns
     );
 }
 
-/// The catalog entries a query reads: documents and the indexes on them.
-type TxnView = (Vec<(String, DocData)>, Vec<(String, IndexData)>);
-
 /// Internal statement outcome carrying item granularity.
 enum InnerOutcome {
     /// An auto-commit query: an open cursor nothing has been pulled from.
@@ -152,20 +149,13 @@ enum InnerOutcome {
 enum TxnState {
     ReadOnly {
         handle: TxnHandle,
-        /// Catalog snapshot taken at begin — the transaction-consistent
-        /// metadata matching the pinned page snapshot.
-        snapshot: Catalog,
+        /// The published catalog of the commit the page snapshot reads.
+        snapshot: Arc<Catalog>,
     },
     Update {
         handle: TxnHandle,
-        /// Original catalog entries of touched objects (None = created by
-        /// this transaction), for in-memory rollback.
-        undo_docs: HashMap<String, Option<DocData>>,
-        undo_indexes: HashMap<String, Option<IndexData>>,
-        /// Keys needing CatalogPut at commit.
-        touched: HashSet<String>,
-        /// Keys needing CatalogDrop at commit.
-        dropped: HashSet<String>,
+        /// The transaction's own catalog entries over the published root.
+        writes: CatalogWrites,
     },
 }
 
@@ -257,7 +247,7 @@ impl Session {
     /// [`Database::session_as_of`].
     ///
     /// [`Database::session_as_of`]: crate::Database::session_as_of
-    pub(crate) fn new_as_of(db: Arc<DbInner>, handle: TxnHandle, catalog: Catalog) -> Session {
+    pub(crate) fn new_as_of(db: Arc<DbInner>, handle: TxnHandle, catalog: Arc<Catalog>) -> Session {
         let mut session = Session::new(db);
         session.vas.begin(handle.view(), None);
         session.txn = Some(TxnState::ReadOnly {
@@ -364,10 +354,7 @@ impl Session {
         }
         self.txn = Some(TxnState::Update {
             handle,
-            undo_docs: HashMap::new(),
-            undo_indexes: HashMap::new(),
-            touched: HashSet::new(),
-            dropped: HashSet::new(),
+            writes: CatalogWrites::default(),
         });
         self.track.set_txn_mode(TxnMode::Update);
         Ok(())
@@ -387,9 +374,8 @@ impl Session {
         if self.txn.is_some() {
             return Err(DbError::Conflict("a transaction is already active".into()));
         }
-        let handle = self.db.txns.begin_read_only_on(self.db.branch);
+        let (handle, snapshot) = self.db.begin_snapshot();
         self.vas.begin(handle.view(), None);
-        let snapshot = self.db.catalog.read().clone();
         self.txn = Some(TxnState::ReadOnly { handle, snapshot });
         self.track.set_txn_mode(TxnMode::ReadOnly);
         Ok(())
@@ -411,17 +397,8 @@ impl Session {
                 self.track.set_txn_mode(TxnMode::None);
                 Ok(())
             }
-            Some(TxnState::Update {
-                handle,
-                touched,
-                dropped,
-                ..
-            }) => {
-                // No plan-cache invalidation here: catalog-shape changes
-                // already bumped the catalog generation when the DDL
-                // executed, and plans cached after it carry the new
-                // generation — they stay valid across this commit.
-                let result = self.commit_update(&handle, &touched, &dropped);
+            Some(TxnState::Update { handle, writes }) => {
+                let result = self.commit_update(&handle, writes);
                 self.db.gate.exit_shared();
                 self.vas.begin(self.db.latest_view(), None);
                 self.track.set_txn_mode(TxnMode::None);
@@ -435,14 +412,10 @@ impl Session {
         }
     }
 
-    fn commit_update(
-        &mut self,
-        handle: &TxnHandle,
-        touched: &HashSet<String>,
-        dropped: &HashSet<String>,
-    ) -> DbResult<()> {
+    fn commit_update(&self, handle: &TxnHandle, mut writes: CatalogWrites) -> DbResult<()> {
         let versions = &self.db.txns.versions;
         let txn_id = handle.id;
+        let branch = self.db.branch;
         {
             let mut wal = self.db.wal.lock();
             // 1. What each working page changed: its byte-range delta
@@ -472,39 +445,24 @@ impl Session {
                     page,
                 })?;
             }
-            // 3. Catalog deltas.
-            let catalog = self.db.catalog.read();
-            for key in touched {
-                if dropped.contains(key) {
-                    continue;
-                }
-                let payload = if let Some(name) = key.strip_prefix("doc:") {
-                    catalog::doc_payload(catalog.doc(name)?)
-                } else if let Some(name) = key.strip_prefix("index:") {
-                    let idx = catalog
-                        .indexes
-                        .get(name)
-                        .ok_or_else(|| DbError::NotFound(format!("index '{name}'")))?;
-                    catalog::index_payload(idx)
-                } else {
-                    continue;
-                };
-                wal.append(&WalRecord::CatalogPut {
-                    txn: txn_id.0,
-                    branch: self.db.branch,
-                    key: key.clone(),
-                    payload,
+            // 3. The catalog writes, encoded from the transaction's own
+            // entries: no catalog guard is held across the log I/O.
+            for (key, payload) in writes.records() {
+                let txn = txn_id.0;
+                wal.append(&match payload {
+                    Some(payload) => WalRecord::CatalogPut {
+                        txn,
+                        branch,
+                        key,
+                        payload,
+                    },
+                    None => WalRecord::CatalogDrop { txn, branch, key },
                 })?;
             }
-            for key in dropped {
-                wal.append(&WalRecord::CatalogDrop {
-                    txn: txn_id.0,
-                    branch: self.db.branch,
-                    key: key.clone(),
-                })?;
-            }
-            // 4. Make the versions current, then force the commit record.
-            let ts = versions.commit(txn_id);
+            // 4. Make the versions current and publish the catalog writes
+            // in one step, then force the commit record. The entries the
+            // commit replaces are freed with `writes`, after the log lock.
+            let ts = self.db.publish(txn_id, &mut writes);
             wal.append(&WalRecord::Commit { txn: txn_id.0, ts })?;
             wal.flush()?;
         }
@@ -534,41 +492,15 @@ impl Session {
                 self.track.set_txn_mode(TxnMode::None);
                 Ok(())
             }
-            Some(TxnState::Update {
-                handle,
-                undo_docs,
-                undo_indexes,
-                ..
-            }) => {
-                let restored = !undo_docs.is_empty() || !undo_indexes.is_empty();
-                // Restore catalog entries.
-                {
-                    let mut catalog = self.db.catalog.write();
-                    for (name, prev) in undo_docs {
-                        match prev {
-                            Some(d) => {
-                                catalog.docs.insert(name, d);
-                            }
-                            None => {
-                                catalog.docs.remove(&name);
-                            }
-                        }
-                    }
-                    for (name, prev) in undo_indexes {
-                        match prev {
-                            Some(d) => {
-                                catalog.indexes.insert(name, d);
-                            }
-                            None => {
-                                catalog.indexes.remove(&name);
-                            }
-                        }
-                    }
-                }
+            Some(TxnState::Update { handle, .. }) => {
+                // The transaction's catalog writes go with its state.
                 {
                     let mut wal = self.db.wal.lock();
                     let _ = wal.append(&WalRecord::Abort { txn: handle.id.0 });
                 }
+                // Only the pages the transaction allocated are unreachable
+                // from every snapshot and branch: only their addresses go
+                // back to the allocator.
                 let fresh = self.db.txns.abort(&handle);
                 for page in fresh {
                     self.db.sas.allocator().free_page(page);
@@ -576,12 +508,6 @@ impl Session {
                 self.db.gate.exit_shared();
                 self.vas.begin(self.db.latest_view(), None);
                 self.track.set_txn_mode(TxnMode::None);
-                if restored {
-                    // The rollback rewound catalog entries, so plans
-                    // cached since (at the in-transaction generation)
-                    // are stale: bump so they key-miss everywhere.
-                    self.db.catalog_generation.bump();
-                }
                 Ok(())
             }
         }
@@ -719,8 +645,8 @@ impl Session {
         // transaction's state lives on the session and cannot migrate
         // into a detached cursor, so the engine is drained here; whether
         // the query succeeds or fails, the transaction stays open.
-        let (docs, indexes) = self.txn_view(&stmt)?;
-        let mut pull = Pull::open(&self.db, stmt, obs, docs, indexes, None)?;
+        let catalog = self.locked_view(&stmt, LockMode::S)?;
+        let mut pull = Pull::open(&self.db, stmt, obs, catalog, None)?;
         let items = pull.drain(&self.db, &self.vas)?;
         self.note_query_stats(pull.stats());
         Ok(InnerOutcome::Items(items))
@@ -737,15 +663,26 @@ impl Session {
     /// database-wide plan cache: a statement compiled by one connection
     /// is reused by every other until its [`PlanKey`] (catalog
     /// generation, statistics epoch) moves. Cached plans report zero
-    /// parse/rewrite nanoseconds.
+    /// parse/rewrite nanoseconds. A transaction that reads another
+    /// catalog shape than the published one — an older snapshot, or its
+    /// own uncommitted DDL — neither reads nor fills the shared cache.
     fn plan_statement(&mut self, text: &str) -> DbResult<(Statement, u64, u64)> {
+        let (root, generation) = self.db.published_with_generation();
         let key = PlanKey {
-            generation: self.db.catalog_generation.current(),
+            generation,
             stats_epoch: self.db.stats_epoch.current(),
         };
-        if let Some(stmt) = self.db.shared_plans.get(text, key) {
-            self.db.obs.query.plan_cache_hits.inc();
-            return Ok((stmt, 0, 0));
+        let shared = match &self.txn {
+            None => true,
+            Some(TxnState::ReadOnly { snapshot, .. }) => Arc::ptr_eq(snapshot, &root),
+            Some(TxnState::Update { writes, .. }) => !writes.reshapes(&root),
+        };
+        drop(root);
+        if shared {
+            if let Some(stmt) = self.db.shared_plans.get(text, key) {
+                self.db.obs.query.plan_cache_hits.inc();
+                return Ok((stmt, 0, 0));
+            }
         }
         // Missed: run the front half of the paper's pipeline, timed per
         // phase. Handles are clones sharing the database-wide
@@ -762,40 +699,40 @@ impl Session {
             self.cost_plan(&mut stmt);
         }
         let rewrite_ns = rewrite_span.finish();
-        self.db.shared_plans.insert(text, key, stmt.clone());
+        if shared {
+            self.db.shared_plans.insert(text, key, stmt.clone());
+        }
         Ok((stmt, parse_ns, rewrite_ns))
     }
 
     /// Runs the cost-based planner over a freshly rewritten statement:
     /// assembles the planner's view (the referenced documents'
     /// descriptive-schema statistics plus the declared indexes on them)
-    /// under a short catalog read guard, lets it rewrite profitable
+    /// from the catalog the statement runs on, lets it rewrite profitable
     /// equality predicates onto B-tree index scans and order predicates
     /// by selectivity, then records the access-path choice in the
     /// `sedna_plan_chosen_*` counters and
     /// [`Session::last_plan_decision`].
     fn cost_plan(&mut self, stmt: &mut Statement) {
-        let decision = {
-            let catalog = self.db.catalog.read();
-            let names = collect_doc_names(stmt);
-            let docs: HashMap<String, &SchemaTree> = names
-                .iter()
-                .filter_map(|n| catalog.docs.get(n).map(|d| (n.clone(), &d.schema)))
-                .collect();
-            let indexes: Vec<IndexSpec> = catalog
-                .indexes
-                .values()
-                .filter(|i| docs.contains_key(&i.meta.doc))
-                .map(|i| IndexSpec {
-                    name: i.meta.name.clone(),
-                    doc: i.meta.doc.clone(),
-                    on: i.meta.on.clone(),
-                    by: i.meta.by.clone(),
-                    key_type: i.meta.key_type,
-                })
-                .collect();
-            planner::plan_statement(stmt, &PlannerInput { docs, indexes })
-        };
+        let names = collect_doc_names(stmt);
+        let view = self.view(&names);
+        let docs: HashMap<String, &SchemaTree> = names
+            .iter()
+            .filter_map(|n| view.docs.get(n).map(|d| (n.clone(), &d.schema)))
+            .collect();
+        let indexes: Vec<IndexSpec> = view
+            .indexes
+            .values()
+            .filter(|i| docs.contains_key(&i.meta.doc))
+            .map(|i| IndexSpec {
+                name: i.meta.name.clone(),
+                doc: i.meta.doc.clone(),
+                on: i.meta.on.clone(),
+                by: i.meta.by.clone(),
+                key_type: i.meta.key_type,
+            })
+            .collect();
+        let decision = planner::plan_statement(stmt, &PlannerInput { docs, indexes });
         let q = &self.db.obs.query;
         match decision.access_path {
             AccessPath::Scan => q.plan_chosen_scan.inc(),
@@ -855,12 +792,6 @@ impl Session {
                 }
             }
         }
-        if result.is_ok() && matches!(stmt.kind, StatementKind::Ddl(_)) {
-            // Catalog shape changed: bump the generation so every cached
-            // plan key-misses lazily instead of requiring a conservative
-            // cache clear.
-            self.db.catalog_generation.bump();
-        }
         if matches!(&result, Ok(InnerOutcome::Updated(n)) if *n > 0) {
             // Data volume changed (but not the catalog shape): bump the
             // statistics epoch so cached plans re-cost against the new
@@ -879,67 +810,43 @@ impl Session {
     // Queries
     // --------------------------------------------------------------
 
-    /// The catalog entries a query inside the open transaction reads:
-    /// the transaction's catalog snapshot (read-only), or clones of the
-    /// referenced documents taken under S locks (updater) — the entries
-    /// the updater itself has modified, so it sees its own writes.
-    fn txn_view(&self, stmt: &Statement) -> DbResult<TxnView> {
+    /// The catalog this session's statements see, unlocked: the published
+    /// root outside a transaction, a read-only transaction's snapshot, and
+    /// for an update transaction the documents `names` and the indexes on
+    /// them, with its own writes over the published root.
+    fn view(&self, names: &[String]) -> Arc<Catalog> {
         match &self.txn {
-            Some(TxnState::ReadOnly { snapshot, .. }) => Ok((
-                snapshot
-                    .docs
-                    .iter()
-                    .map(|(n, d)| (n.clone(), d.clone()))
-                    .collect(),
-                snapshot
-                    .indexes
-                    .iter()
-                    .map(|(n, d)| (n.clone(), d.clone()))
-                    .collect(),
-            )),
-            Some(TxnState::Update { handle, .. }) => {
-                let mut names = collect_doc_names(stmt);
-                // Resolve ids under a short catalog guard, then acquire
-                // locks with NO catalog guard held (a committing writer
-                // needs catalog.write() while holding its X lock — holding
-                // the read guard across a lock wait would deadlock), then
-                // clone the locked documents.
-                let index_names = collect_index_names(stmt);
-                let ids: Vec<u64> = {
-                    let catalog = self.db.catalog.read();
-                    for iname in &index_names {
-                        if let Some(idx) = catalog.indexes.get(iname) {
-                            if !names.contains(&idx.meta.doc) {
-                                names.push(idx.meta.doc.clone());
-                            }
-                        }
-                    }
-                    names
-                        .iter()
-                        .map(|name| catalog.doc(name).map(|d| d.id))
-                        .collect::<DbResult<_>>()?
-                };
-                for &id in &ids {
-                    self.db
-                        .txns
-                        .locks
-                        .lock_document(handle.id, id, LockMode::S)?;
-                }
-                let catalog = self.db.catalog.read();
-                let mut docs = Vec::new();
-                for name in &names {
-                    docs.push((name.clone(), catalog.doc(name)?.clone()));
-                }
-                let indexes = catalog
-                    .indexes
-                    .iter()
-                    .filter(|(_, i)| names.contains(&i.meta.doc))
-                    .map(|(n, d)| (n.clone(), d.clone()))
-                    .collect();
-                Ok((docs, indexes))
+            None => self.db.published(),
+            Some(TxnState::ReadOnly { snapshot, .. }) => Arc::clone(snapshot),
+            Some(TxnState::Update { writes, .. }) => {
+                Arc::new(writes.view(&self.db.published(), names))
             }
-            None => Err(DbError::Conflict("no active transaction".into())),
         }
+    }
+
+    /// The catalog a statement inside the open transaction runs on: a
+    /// read-only transaction's snapshot (no locks, §6.3), or the update
+    /// transaction's [`Session::view`] of the documents the statement
+    /// reads, taken after locking each in `mode`.
+    fn locked_view(&self, stmt: &Statement, mode: LockMode) -> DbResult<Arc<Catalog>> {
+        let Some(TxnState::Update { handle, writes }) = &self.txn else {
+            return Ok(self.view(&[]));
+        };
+        let root = self.db.published();
+        let mut names = collect_doc_names(stmt);
+        for index in collect_index_names(stmt) {
+            if let Ok(i) = writes.index(&root, &index) {
+                if !names.contains(&i.meta.doc) {
+                    names.push(i.meta.doc.clone());
+                }
+            }
+        }
+        for name in &names {
+            let id = writes.doc(&root, name)?.id;
+            self.db.txns.locks.lock_document(handle.id, id, mode)?;
+        }
+        // Read again: a writer this waited for may have published since.
+        Ok(self.view(&names))
     }
 
     // --------------------------------------------------------------
@@ -947,147 +854,55 @@ impl Session {
     // --------------------------------------------------------------
 
     fn run_update(&mut self, stmt: &Statement) -> DbResult<usize> {
-        let names = collect_doc_names(stmt);
-        // Phase 1 (plan): against the X-locked documents' current state.
-        let (plan_doc_name, plan) = {
-            let handle = self.current_update_handle()?;
-            // Ids under a short guard; lock waits without the guard.
-            let ids: Vec<u64> = {
-                let catalog = self.db.catalog.read();
-                names
-                    .iter()
-                    .map(|name| catalog.doc(name).map(|d| d.id))
-                    .collect::<DbResult<_>>()?
-            };
-            // Update statements take X locks upfront: acquiring S during
-            // planning and upgrading to X later deadlocks two writers on
-            // the same document (both hold S, both wait for X).
-            for &id in &ids {
-                self.db
-                    .txns
-                    .locks
-                    .lock_document(handle.id, id, LockMode::X)?;
-            }
-            let catalog = self.db.catalog.read();
-            let mut docs = Vec::new();
-            for name in &names {
-                docs.push((name.clone(), catalog.doc(name)?.clone()));
-            }
-            let view = query_view(&self.vas, &docs, &[]);
-            let (doc_idx, plan, plan_stats) = update::plan_update_with_stats(stmt, &view)?;
+        // Phase 1 (plan) against the X-locked documents. Update statements
+        // take X upfront: acquiring S during planning and upgrading to X
+        // later deadlocks two writers on one document (both hold S, both
+        // wait for X).
+        let view = self.locked_view(stmt, LockMode::X)?;
+        let (name, plan) = {
+            let qv = query_view(&self.vas, &view);
+            let (doc_idx, plan, plan_stats) = update::plan_update_with_stats(stmt, &qv)?;
             self.last_stats = plan_stats;
-            (docs[doc_idx].0.clone(), plan)
+            (qv.docs[doc_idx].name.clone(), plan)
         };
-
-        // X lock + undo copy for the target document.
-        let handle = self.current_update_handle()?;
-        let target_id = {
-            let catalog = self.db.catalog.read();
-            catalog.doc(&plan_doc_name)?.id
-        };
-        self.db
-            .txns
-            .locks
-            .lock_document(handle.id, target_id, LockMode::X)?;
-        self.save_doc_undo(&plan_doc_name);
 
         // Index maintenance is one before/after diff, keyed by handle, over
         // the nodes the statement can change (DESIGN.md §5).
-        let indexes = self.db.catalog.read().indexes_of(&plan_doc_name);
-        let (survivors, before) = if indexes.is_empty() {
+        let metas: Vec<IndexMeta> = view
+            .indexes
+            .values()
+            .filter(|i| i.meta.doc == name)
+            .map(|i| i.meta.clone())
+            .collect();
+        let (survivors, before) = if metas.is_empty() {
             (Vec::new(), Vec::new())
         } else {
-            let mode = self.db.catalog.read().doc(&plan_doc_name)?.storage.mode;
-            let (anchors, changed, survivors) = update_anchors(&self.vas, mode, &plan)?;
-            let before = self.index_maps(&plan_doc_name, &indexes, &anchors, changed)?;
+            let doc = &view.docs[&name];
+            let (anchors, changed, survivors) = update_anchors(&self.vas, doc.storage.mode, &plan)?;
+            let before = index_maps(&self.vas, doc, &metas, &anchors, changed)?;
             (survivors, before)
         };
+        // Release the view's references, so the transaction copies each
+        // entry out of the published root once, not once per statement.
+        drop(view);
 
-        // Phase 2: apply.
-        let outcome = {
-            let mut catalog = self.db.catalog.write();
-            let d = catalog.doc_mut(&plan_doc_name)?;
-            update::execute_plan(&plan, &self.vas, &mut d.schema, &mut d.storage)?
-        };
-
-        if !indexes.is_empty() {
+        // Phase 2: apply, to the transaction's own copy of the document.
+        let root = self.db.published();
+        let (vas, writes) = self.writes()?;
+        let d = writes.doc_mut(&root, &name)?;
+        let outcome = update::execute_plan(&plan, vas, &mut d.schema, &mut d.storage)?;
+        if !metas.is_empty() {
             let added = match &plan {
                 UpdatePlan::Insert { .. } => &outcome.inserted_roots[..],
                 UpdatePlan::ReplaceValue { targets, .. } => &targets[..],
                 UpdatePlan::Delete { .. } => &[],
             };
-            let after = self.index_maps(&plan_doc_name, &indexes, &survivors, added)?;
-            for ((name, old), new) in indexes.iter().zip(before).zip(after) {
-                self.write_index_diff(name, &old, &new)?;
+            let after = index_maps(vas, writes.doc(&root, &name)?, &metas, &survivors, added)?;
+            for ((meta, old), new) in metas.iter().zip(before).zip(after) {
+                write_index_diff(vas, writes, &root, &meta.name, &old, &new)?;
             }
         }
-
-        self.mark_touched(&format!("doc:{plan_doc_name}"))?;
         Ok(outcome.affected)
-    }
-
-    /// Handle → key, per index, over the ON nodes among the `anchors`'
-    /// ancestors-or-self (a BY path starts at its ON node and only
-    /// descends) and in the subtrees under `roots`, as the document
-    /// stands now. The helpers take the document from this one catalog
-    /// guard: a second `read()` under it would deadlock against a writer
-    /// queued in between.
-    fn index_maps(
-        &self,
-        doc: &str,
-        indexes: &[String],
-        anchors: &[XPtr],
-        roots: &[XPtr],
-    ) -> DbResult<Vec<BTreeMap<XPtr, IndexKey>>> {
-        let catalog = self.db.catalog.read();
-        let d = catalog.doc(doc)?;
-        let mut nodes = subtree_nodes(&self.vas, roots)?;
-        for &a in anchors {
-            nodes.extend(ancestors_or_self(
-                &self.vas,
-                d.storage.mode,
-                deref(&self.vas, a)?,
-            )?);
-        }
-        indexes
-            .iter()
-            .map(|name| catalog::index_entries(&self.vas, d, &catalog.indexes[name].meta, &nodes))
-            .collect()
-    }
-
-    /// Writes what changed between an index's `before` and `after` maps
-    /// and nothing else, taking the index's undo copy first.
-    fn write_index_diff<'m>(
-        &mut self,
-        name: &str,
-        before: &'m BTreeMap<XPtr, IndexKey>,
-        after: &'m BTreeMap<XPtr, IndexKey>,
-    ) -> DbResult<()> {
-        let stale = |from: &'m BTreeMap<XPtr, IndexKey>, to: &BTreeMap<XPtr, IndexKey>| {
-            from.iter()
-                .filter(|&(h, k)| to.get(h) != Some(k))
-                .collect::<Vec<_>>()
-        };
-        let (removed, added) = (stale(before, after), stale(after, before));
-        if removed.is_empty() && added.is_empty() {
-            return Ok(());
-        }
-        self.save_index_undo(name);
-        {
-            let mut catalog = self.db.catalog.write();
-            let tree = &mut catalog
-                .indexes
-                .get_mut(name)
-                .ok_or_else(|| DbError::NotFound(format!("index '{name}'")))?
-                .tree;
-            for (&h, key) in removed {
-                tree.remove(&self.vas, key, h)?;
-            }
-            for (&h, key) in added {
-                tree.insert(&self.vas, key, h)?;
-            }
-        }
-        self.mark_touched(&format!("index:{name}"))
     }
 
     // --------------------------------------------------------------
@@ -1095,72 +910,41 @@ impl Session {
     // --------------------------------------------------------------
 
     fn run_ddl(&mut self, ddl: DdlStmt) -> DbResult<()> {
-        let handle = self.current_update_handle()?;
+        let txn = self.current_update_handle()?.id;
+        let db = Arc::clone(&self.db);
+        let locks = &db.txns.locks;
+        let (vas, writes) = self.writes()?;
         match ddl {
             DdlStmt::CreateDocument(name) => {
-                {
-                    let catalog = self.db.catalog.read();
-                    if catalog.docs.contains_key(&name) {
-                        return Err(DbError::Conflict(format!(
-                            "document '{name}' already exists"
-                        )));
-                    }
+                lock_name(&db, txn, &format!("doc:{name}"))?;
+                if writes.doc(&db.published(), &name).is_ok() {
+                    return Err(DbError::Conflict(format!(
+                        "document '{name}' already exists"
+                    )));
                 }
-                // New object: X database intention is implied by doc lock.
-                let mut catalog = self.db.catalog.write();
-                let id = catalog.next_doc_id;
-                catalog.next_doc_id += 1;
-                drop(catalog);
-                self.db
-                    .txns
-                    .locks
-                    .lock_document(handle.id, id, LockMode::X)?;
-                let mut schema = sedna_schema::SchemaTree::new();
-                let storage = sedna_storage::DocStorage::create(
-                    &self.vas,
-                    &mut schema,
-                    self.db.cfg.parent_mode,
-                )?;
-                self.save_doc_undo(&name);
-                self.db.catalog.write().docs.insert(
-                    name.clone(),
-                    DocData {
+                let id = db.next_doc_id();
+                locks.lock_document(txn, id, LockMode::X)?;
+                let mut schema = SchemaTree::new();
+                let storage = DocStorage::create(vas, &mut schema, db.cfg.parent_mode)?;
+                writes.put_doc(
+                    &name,
+                    Some(DocData {
                         id,
                         schema,
                         storage,
-                    },
+                    }),
                 );
-                self.mark_touched(&format!("doc:{name}"))
             }
             DdlStmt::DropDocument(name) => {
-                let id = {
-                    let catalog = self.db.catalog.read();
-                    catalog.doc(&name)?.id
-                };
-                self.db
-                    .txns
-                    .locks
-                    .lock_document(handle.id, id, LockMode::X)?;
-                self.save_doc_undo(&name);
-                // Free every page of the document.
-                let data = {
-                    let mut catalog = self.db.catalog.write();
-                    catalog
-                        .docs
-                        .remove(&name)
-                        .ok_or_else(|| DbError::NotFound(format!("document '{name}'")))?
-                };
-                free_document_pages(&self.vas, &data)?;
+                lock_name(&db, txn, &format!("doc:{name}"))?;
+                locks.lock_document(txn, writes.doc(&db.published(), &name)?.id, LockMode::X)?;
+                let root = db.published();
+                free_document_pages(vas, writes.doc(&root, &name)?)?;
                 // Dependent indexes go too.
-                let dependent: Vec<String> = {
-                    let catalog = self.db.catalog.read();
-                    catalog.indexes_of(&name)
-                };
-                for iname in dependent {
-                    self.drop_index_internal(&iname)?;
+                for index in writes.indexes_of(&root, &name) {
+                    drop_index(vas, writes, &root, &index)?;
                 }
-                self.mark_dropped(&format!("doc:{name}"))?;
-                Ok(())
+                writes.put_doc(&name, None);
             }
             DdlStmt::CreateIndex {
                 name,
@@ -1169,58 +953,35 @@ impl Session {
                 by,
                 key_type,
             } => {
-                {
-                    let catalog = self.db.catalog.read();
-                    if catalog.indexes.contains_key(&name) {
-                        return Err(DbError::Conflict(format!("index '{name}' already exists")));
-                    }
+                lock_name(&db, txn, &format!("index:{name}"))?;
+                if writes.index(&db.published(), &name).is_ok() {
+                    return Err(DbError::Conflict(format!("index '{name}' already exists")));
                 }
-                let doc_id = {
-                    let catalog = self.db.catalog.read();
-                    catalog.doc(&doc)?.id
-                };
-                self.db
-                    .txns
-                    .locks
-                    .lock_document(handle.id, doc_id, LockMode::S)?;
+                locks.lock_document(txn, writes.doc(&db.published(), &doc)?.id, LockMode::S)?;
                 let meta = IndexMeta {
                     name: name.clone(),
-                    doc: doc.clone(),
+                    doc,
                     on,
                     by,
                     key_type,
                 };
-                let mut tree = sedna_index::BTreeIndex::create(&self.vas)?;
-                tree.set_metrics(self.db.obs.index.clone());
-                {
-                    let catalog = self.db.catalog.read();
-                    catalog::build_index(&self.vas, catalog.doc(&doc)?, &meta, &mut tree)?;
-                }
-                self.save_index_undo(&name);
-                self.db
-                    .catalog
-                    .write()
-                    .indexes
-                    .insert(name.clone(), IndexData { meta, tree });
-                self.mark_touched(&format!("index:{name}"))
+                let mut tree = sedna_index::BTreeIndex::create(vas)?;
+                tree.set_metrics(db.obs.index.clone());
+                let root = db.published();
+                catalog::build_index(vas, writes.doc(&root, &meta.doc)?, &meta, &mut tree)?;
+                writes.put_index(&name, Some(IndexData { meta, tree }));
             }
-            DdlStmt::DropIndex(name) => self.drop_index_internal(&name),
+            DdlStmt::DropIndex(name) => {
+                lock_name(&db, txn, &format!("index:{name}"))?;
+                // Every update of the document maintains the index: X on
+                // the document keeps the drop from crossing one in flight.
+                let root = db.published();
+                let doc = &writes.index(&root, &name)?.meta.doc;
+                locks.lock_document(txn, writes.doc(&root, doc)?.id, LockMode::X)?;
+                drop_index(vas, writes, &db.published(), &name)?;
+            }
         }
-    }
-
-    fn drop_index_internal(&mut self, name: &str) -> DbResult<()> {
-        let tree = {
-            let catalog = self.db.catalog.read();
-            catalog
-                .indexes
-                .get(name)
-                .map(|i| i.tree.clone())
-                .ok_or_else(|| DbError::NotFound(format!("index '{name}'")))?
-        };
-        self.save_index_undo(name);
-        tree.destroy(&self.vas)?;
-        self.db.catalog.write().indexes.remove(name);
-        self.mark_dropped(&format!("index:{name}"))
+        Ok(())
     }
 
     // --------------------------------------------------------------
@@ -1234,58 +995,30 @@ impl Session {
             self.begin_update()?;
         }
         let result = (|| -> DbResult<u64> {
-            let handle = self.current_update_handle()?;
-            let id = {
-                let catalog = self.db.catalog.read();
-                catalog.doc(doc_name)?.id
-            };
-            self.db
-                .txns
-                .locks
-                .lock_document(handle.id, id, LockMode::X)?;
-            self.save_doc_undo(doc_name);
+            let txn = self.current_update_handle()?.id;
+            let db = Arc::clone(&self.db);
+            let (vas, writes) = self.writes()?;
+            let id = writes.doc(&db.published(), doc_name)?.id;
+            db.txns.locks.lock_document(txn, id, LockMode::X)?;
             let events = sedna_xml::XmlReader::new(xml)
                 .collect_events()
                 .map_err(|e| DbError::Conflict(format!("XML parse error: {e}")))?;
-            let n = {
-                let mut catalog = self.db.catalog.write();
-                let d = catalog.doc_mut(doc_name)?;
-                if d.storage
-                    .doc_node(&self.vas)
-                    .map_err(DbError::Storage)?
-                    .first_child(&self.vas)
-                    .map_err(DbError::Storage)?
-                    .is_some()
-                {
-                    return Err(DbError::Conflict(format!(
-                        "document '{doc_name}' is not empty"
-                    )));
-                }
-                build::build_from_events(&self.vas, &mut d.schema, &mut d.storage, &events)?
-            };
+            let root = db.published();
+            let d = writes.doc_mut(&root, doc_name)?;
+            if d.storage.doc_node(vas)?.first_child(vas)?.is_some() {
+                return Err(DbError::Conflict(format!(
+                    "document '{doc_name}' is not empty"
+                )));
+            }
+            let n = build::build_from_events(vas, &mut d.schema, &mut d.storage, &events)?;
             // Indexes declared before the load must cover the new nodes.
             // The document was empty, so the whole ON-path population is
             // the delta — the same full build CREATE INDEX performs.
-            let indexes = self.db.catalog.read().indexes_of(doc_name);
-            for iname in &indexes {
-                self.save_index_undo(iname);
-                let tree = {
-                    let catalog = self.db.catalog.read();
-                    let idx = &catalog.indexes[iname];
-                    let mut tree = idx.tree.clone();
-                    catalog::build_index(&self.vas, catalog.doc(doc_name)?, &idx.meta, &mut tree)?;
-                    tree
-                };
-                self.db
-                    .catalog
-                    .write()
-                    .indexes
-                    .get_mut(iname)
-                    .ok_or_else(|| DbError::NotFound(format!("index '{iname}'")))?
-                    .tree = tree;
-                self.mark_touched(&format!("index:{iname}"))?;
+            for name in writes.indexes_of(&root, doc_name) {
+                let doc = Arc::clone(writes.doc(&root, doc_name)?);
+                let index = writes.index_mut(&root, &name)?;
+                catalog::build_index(vas, &doc, &index.meta, &mut index.tree)?;
             }
-            self.mark_touched(&format!("doc:{doc_name}"))?;
             Ok(n)
         })();
         if implicit {
@@ -1315,46 +1048,12 @@ impl Session {
         }
     }
 
-    /// Takes the transaction's undo copy of document `name` (`None` while
-    /// it does not exist) unless the transaction already holds one.
-    fn save_doc_undo(&mut self, name: &str) {
-        if let Some(TxnState::Update { undo_docs, .. }) = &mut self.txn {
-            if !undo_docs.contains_key(name) {
-                let prev = self.db.catalog.read().docs.get(name).cloned();
-                undo_docs.insert(name.to_string(), prev);
-            }
-        }
-    }
-
-    /// [`Session::save_doc_undo`] for index `name`.
-    fn save_index_undo(&mut self, name: &str) {
-        if let Some(TxnState::Update { undo_indexes, .. }) = &mut self.txn {
-            if !undo_indexes.contains_key(name) {
-                let prev = self.db.catalog.read().indexes.get(name).cloned();
-                undo_indexes.insert(name.to_string(), prev);
-            }
-        }
-    }
-
-    fn mark_touched(&mut self, key: &str) -> DbResult<()> {
-        if let Some(TxnState::Update { touched, .. }) = &mut self.txn {
-            touched.insert(key.to_string());
-            Ok(())
-        } else {
-            Err(DbError::Conflict("not in an update transaction".into()))
-        }
-    }
-
-    fn mark_dropped(&mut self, key: &str) -> DbResult<()> {
-        if let Some(TxnState::Update {
-            touched, dropped, ..
-        }) = &mut self.txn
-        {
-            touched.remove(key);
-            dropped.insert(key.to_string());
-            Ok(())
-        } else {
-            Err(DbError::Conflict("not in an update transaction".into()))
+    /// The open update transaction's catalog writes, beside the storage
+    /// session they are made through.
+    fn writes(&mut self) -> DbResult<(&Vas, &mut CatalogWrites)> {
+        match &mut self.txn {
+            Some(TxnState::Update { writes, .. }) => Ok((&self.vas, writes)),
+            _ => Err(DbError::Conflict("not in an update transaction".into())),
         }
     }
 }
@@ -1441,6 +1140,77 @@ pub(crate) fn collect_doc_names(stmt: &Statement) -> Vec<String> {
         names.insert(doc.clone());
     }
     names.into_iter().collect()
+}
+
+/// Locks catalog name `key` (`doc:…` / `index:…`) exclusively until the
+/// transaction ends, so two transactions cannot both create it: the
+/// second waits for the first to finish, then checks the published root.
+/// Names hash into the upper half of the document-lock space, which
+/// document ids, counting up from 0, never reach; a hash collision only
+/// serializes two unrelated DDL statements.
+fn lock_name(db: &DbInner, txn: TxnId, key: &str) -> DbResult<()> {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    std::hash::Hash::hash(key, &mut hasher);
+    let id = std::hash::Hasher::finish(&hasher) | 1 << 63;
+    Ok(db.txns.locks.lock_document(txn, id, LockMode::X)?)
+}
+
+/// Frees index `name`'s tree and drops its entry.
+fn drop_index(vas: &Vas, writes: &mut CatalogWrites, root: &Catalog, name: &str) -> DbResult<()> {
+    let index = writes.index(root, name)?;
+    index.tree.clone().destroy(vas)?;
+    writes.put_index(name, None);
+    Ok(())
+}
+
+/// Handle → key, per index, over the ON nodes among the `anchors`'
+/// ancestors-or-self (a BY path starts at its ON node and only descends)
+/// and in the subtrees under `roots`, as document `doc` stands now.
+fn index_maps(
+    vas: &Vas,
+    doc: &DocData,
+    metas: &[IndexMeta],
+    anchors: &[XPtr],
+    roots: &[XPtr],
+) -> DbResult<Vec<BTreeMap<XPtr, IndexKey>>> {
+    let mut nodes = subtree_nodes(vas, roots)?;
+    for &a in anchors {
+        nodes.extend(ancestors_or_self(vas, doc.storage.mode, deref(vas, a)?)?);
+    }
+    metas
+        .iter()
+        .map(|meta| catalog::index_entries(vas, doc, meta, &nodes))
+        .collect()
+}
+
+/// Writes what changed between index `name`'s `before` and `after` maps
+/// and nothing else; an unchanged index stays out of the transaction's
+/// writes.
+fn write_index_diff<'m>(
+    vas: &Vas,
+    writes: &mut CatalogWrites,
+    root: &Catalog,
+    name: &str,
+    before: &'m BTreeMap<XPtr, IndexKey>,
+    after: &'m BTreeMap<XPtr, IndexKey>,
+) -> DbResult<()> {
+    let stale = |from: &'m BTreeMap<XPtr, IndexKey>, to: &BTreeMap<XPtr, IndexKey>| {
+        from.iter()
+            .filter(|&(h, k)| to.get(h) != Some(k))
+            .collect::<Vec<_>>()
+    };
+    let (removed, added) = (stale(before, after), stale(after, before));
+    if removed.is_empty() && added.is_empty() {
+        return Ok(());
+    }
+    let tree = &mut writes.index_mut(root, name)?.tree;
+    for (&h, key) in removed {
+        tree.remove(vas, key, h)?;
+    }
+    for (&h, key) in added {
+        tree.insert(vas, key, h)?;
+    }
+    Ok(())
 }
 
 fn deref(vas: &Vas, handle: XPtr) -> DbResult<NodeRef> {

@@ -5,7 +5,7 @@
 //! interface", §5.2); this module carries that discipline across the
 //! session boundary. There is one pull engine, [`Pull`] — the compiled
 //! operator pipeline, the executor's suspended state, the catalog
-//! entries it reads and the statement's observability context — and it
+//! snapshot it reads and the statement's observability context — and it
 //! has two owners that differ only in whose transaction it runs over:
 //!
 //! * the detached [`QueryCursor`] an auto-commit query comes back as: it
@@ -40,7 +40,7 @@ use sedna_xquery::exec::{
 use sedna_xquery::value::Item as QueryItem;
 use sedna_xquery::{cost, OpProfile, QueryError};
 
-use crate::catalog::{DocData, IndexData};
+use crate::catalog::Catalog;
 use crate::database::DbInner;
 use crate::error::{DbError, DbResult};
 use crate::introspect::{SessionTrack, SlowQueryEntry};
@@ -152,39 +152,35 @@ impl StatementObs {
     }
 }
 
-/// The executor's borrowed view over owned catalog entries.
-pub(crate) fn query_view<'a>(
-    vas: &'a Vas,
-    docs: &'a [(String, DocData)],
-    indexes: &'a [(String, IndexData)],
-) -> QueryView<'a> {
-    QueryView {
-        vas,
-        docs: docs
-            .iter()
-            .map(|(name, d)| DocEntry {
-                name: name.clone(),
-                schema: &d.schema,
-                doc: &d.storage,
-            })
-            .collect(),
-        indexes: indexes
-            .iter()
-            .map(|(name, i)| IndexEntry {
-                name: name.clone(),
-                doc: docs
-                    .iter()
-                    .position(|(n, _)| *n == i.meta.doc)
-                    .unwrap_or(usize::MAX),
-                index: &i.tree,
-            })
-            .collect(),
-    }
+/// The executor's borrowed view over a catalog.
+pub(crate) fn query_view<'a>(vas: &'a Vas, catalog: &'a Catalog) -> QueryView<'a> {
+    let docs: Vec<DocEntry> = catalog
+        .docs
+        .iter()
+        .map(|(name, d)| DocEntry {
+            name: name.clone(),
+            schema: &d.schema,
+            doc: &d.storage,
+        })
+        .collect();
+    let indexes = catalog
+        .indexes
+        .iter()
+        .map(|(name, i)| IndexEntry {
+            name: name.clone(),
+            doc: docs
+                .iter()
+                .position(|d| d.name == i.meta.doc)
+                .unwrap_or(usize::MAX),
+            index: &i.tree,
+        })
+        .collect();
+    QueryView { vas, docs, indexes }
 }
 
 /// The pull engine: one query's compiled [`Plan`], the executor's
-/// suspended state, the catalog entries the query reads, and the
-/// statement's observability context.
+/// suspended state, the catalog the query reads, and the statement's
+/// observability context.
 ///
 /// **Pin lifetime.** Page pins are held only *inside* a pull: the
 /// executor is rebuilt around the suspended state per call and dropped
@@ -200,8 +196,7 @@ pub(crate) struct Pull {
     /// commits when it finishes (the detached cursor); `None` when it
     /// runs over its session's open transaction, which it never ends.
     txn: Option<TxnHandle>,
-    docs: Vec<(String, DocData)>,
-    indexes: Vec<(String, IndexData)>,
+    catalog: Arc<Catalog>,
     stmt: Statement,
     plan: Plan,
     state: Option<ExecState>,
@@ -221,22 +216,21 @@ pub(crate) struct Pull {
 }
 
 impl Pull {
-    /// Compiles the pull pipeline of `stmt` over the catalog entries
-    /// `docs` / `indexes`. Referenced documents are validated here so
-    /// "no such document" surfaces at execute time, not at the first
-    /// fetch. On failure `txn` (if any) is committed.
+    /// Compiles the pull pipeline of `stmt` over `catalog`. Referenced
+    /// documents are validated here so "no such document" surfaces at
+    /// execute time, not at the first fetch. On failure `txn` (if any) is
+    /// committed.
     pub(crate) fn open(
         db: &DbInner,
         stmt: Statement,
         mut obs: StatementObs,
-        docs: Vec<(String, DocData)>,
-        indexes: Vec<(String, IndexData)>,
+        catalog: Arc<Catalog>,
         txn: Option<TxnHandle>,
     ) -> DbResult<Pull> {
         let open_span = obs.trace.as_mut().map(|t| t.begin(events::CURSOR_OPEN, 1));
         let missing = collect_doc_names(&stmt)
             .into_iter()
-            .find(|name| !docs.iter().any(|(n, _)| n == name));
+            .find(|name| !catalog.docs.contains_key(name));
         let compiled = match (&stmt.kind, missing) {
             (StatementKind::Query(e), None) => Ok(Plan::compile(e)),
             (StatementKind::Query(_), Some(name)) => {
@@ -262,8 +256,7 @@ impl Pull {
             // Stamp per-operator cardinality estimates from the schema
             // statistics, so EXPLAIN ANALYZE renders `est=N act=M`.
             plan.annotate_estimates(&|doc: &str, steps: &[Step]| {
-                let (_, d) = docs.iter().find(|(n, _)| n == doc)?;
-                cost::estimate_path_cardinality(&d.schema, steps)
+                cost::estimate_path_cardinality(&catalog.docs.get(doc)?.schema, steps)
             });
         }
         db.obs.query.cursor_depth.set(plan.depth() as i64);
@@ -272,8 +265,7 @@ impl Pull {
         }
         Ok(Pull {
             txn,
-            docs,
-            indexes,
+            catalog,
             stmt,
             plan,
             state: Some(ExecState::default()),
@@ -308,7 +300,7 @@ impl Pull {
             return Err(DbError::Cancelled);
         }
         let pull_begin = self.obs.trace.as_ref().map(|t| t.now_ns());
-        let view = query_view(vas, &self.docs, &self.indexes);
+        let view = query_view(vas, &self.catalog);
         let state = self.state.take().unwrap_or_default();
         let mut ex = Executor::with_state(&view, &self.stmt, db.cfg.construct_mode, state);
         let q = &db.obs.query;
@@ -417,8 +409,8 @@ impl Pull {
 ///
 /// The cursor owns everything the query needs to keep running after
 /// [`Session::execute_stream`] returns: a read-only transaction pinning
-/// the snapshot it reads (§6.3 — no document locks), clones of the
-/// catalog entries in that snapshot, a private storage session, and the
+/// the snapshot it reads (§6.3 — no document locks), the published
+/// catalog of the same commit, a private storage session, and the
 /// engine. Each [`QueryCursor::next_item`] call resumes the operator
 /// tree for exactly one item; between calls the cursor holds no page
 /// guards at all — only the version-snapshot reference of its read-only
@@ -438,25 +430,17 @@ pub struct QueryCursor {
 }
 
 impl QueryCursor {
-    /// Opens a cursor: begins a read-only transaction, snapshots the
-    /// catalog, and opens the engine over both.
+    /// Opens a cursor: begins a read-only transaction paired with the
+    /// catalog of the same commit, and opens the engine over both.
     pub(crate) fn open(
         db: Arc<DbInner>,
         stmt: Statement,
         obs: StatementObs,
     ) -> DbResult<QueryCursor> {
-        let handle = db.txns.begin_read_only_on(db.branch);
+        let (handle, catalog) = db.begin_snapshot();
         let vas = db.sas.session();
         vas.begin(handle.view(), None);
-        let snapshot = db.catalog.read().clone();
-        let pull = Pull::open(
-            &db,
-            stmt,
-            obs,
-            snapshot.docs.into_iter().collect(),
-            snapshot.indexes.into_iter().collect(),
-            Some(handle),
-        )?;
+        let pull = Pull::open(&db, stmt, obs, catalog, Some(handle))?;
         Ok(QueryCursor { db, vas, pull })
     }
 
@@ -530,5 +514,48 @@ impl std::fmt::Debug for QueryCursor {
             .field("items_pulled", &self.pull.items)
             .field("done", &self.pull.done)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use sedna_sync::Arc;
+
+    use crate::{Database, DbConfig, StreamOutcome};
+
+    #[test]
+    fn a_snapshot_is_the_published_root_and_a_commit_replaces_only_its_entries() {
+        let dir = std::env::temp_dir().join(format!("sedna-snapshot-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::create(&dir, DbConfig::small()).unwrap();
+        let mut s = db.session();
+        for d in ["a", "b"] {
+            s.execute(&format!("CREATE DOCUMENT '{d}'")).unwrap();
+            s.load_xml(d, "<r><x>1</x></r>").unwrap();
+            s.execute(&format!(
+                "CREATE INDEX 'i{d}' ON doc('{d}')/r BY x AS xs:string"
+            ))
+            .unwrap();
+        }
+        let StreamOutcome::Cursor(mut cursor) = s.execute_stream("doc('a')/r/x").unwrap() else {
+            panic!("an auto-commit query streams");
+        };
+        let before = db.inner.published();
+        assert!(Arc::ptr_eq(&cursor.pull.catalog, &before));
+
+        // Changes document `a` and the key of its index entry.
+        s.execute("UPDATE replace value of doc('a')/r/x with '2'")
+            .unwrap();
+        let after = db.inner.published();
+        assert!(!Arc::ptr_eq(&before.docs["a"], &after.docs["a"]));
+        assert!(!Arc::ptr_eq(&before.indexes["ia"], &after.indexes["ia"]));
+        assert!(Arc::ptr_eq(&before.docs["b"], &after.docs["b"]));
+        assert!(Arc::ptr_eq(&before.indexes["ib"], &after.indexes["ib"]));
+
+        // The open cursor keeps reading the commit it began at.
+        assert!(Arc::ptr_eq(&cursor.pull.catalog, &before));
+        assert_eq!(cursor.next_item().unwrap().as_deref(), Some("<x>1</x>"));
+        drop((cursor, s));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

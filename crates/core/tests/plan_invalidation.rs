@@ -212,3 +212,43 @@ fn session_admission_holds_under_concurrent_open_close() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Index DDL inside an open transaction changes no other session's plan
+/// until it commits: another session compiling the same text does not
+/// use the index the transaction creates, and still uses the index it
+/// drops. The transaction itself plans against its own catalog.
+#[test]
+fn uncommitted_index_ddl_leaves_other_sessions_plans_alone() {
+    let dir = tmpdir("txn-ddl");
+    let db = Database::create(&dir, DbConfig::default()).unwrap();
+    let (mut a, mut b) = (db.session(), db.session());
+    a.execute("CREATE DOCUMENT 'd'").unwrap();
+    a.load_xml("d", &skewed_doc(600)).unwrap();
+
+    let q = "doc('d')/r/item[k = \"v500\"]/k/text()";
+    // Runs the query and reports whether its plan probed an index.
+    let uses_index = |s: &mut sedna::Session| {
+        assert_eq!(s.query(q).unwrap(), "v500");
+        s.last_stats.index_lookups > 0
+    };
+    assert!(!uses_index(&mut b));
+
+    a.begin_update().unwrap();
+    a.execute("CREATE INDEX 'byk' ON doc('d')/r/item BY k AS xs:string")
+        .unwrap();
+    assert!(uses_index(&mut a), "the creator plans with its own index");
+    assert!(!uses_index(&mut b), "an uncommitted index is not planned");
+    a.commit().unwrap();
+    assert!(uses_index(&mut b), "a committed index is planned");
+
+    a.begin_update().unwrap();
+    a.execute("DROP INDEX 'byk'").unwrap();
+    assert!(!uses_index(&mut a), "the dropper plans without the index");
+    assert!(uses_index(&mut b), "an uncommitted drop keeps the index");
+    a.commit().unwrap();
+    assert!(!uses_index(&mut b), "a committed drop removes the index");
+
+    drop((a, b));
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

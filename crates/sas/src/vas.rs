@@ -359,8 +359,9 @@ impl Vas {
                 slots[idx] = Slot::default();
             }
         }
+        // The address is not recycled: the free is final only at commit,
+        // and even then snapshots and forks may still read the page.
         self.sas.resolver().on_page_free(page, txn)?;
-        self.sas.allocator().free_page(page);
         Ok(())
     }
 }
@@ -538,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn freed_page_is_unreachable_and_recycled() {
+    fn freed_page_is_unreachable_and_not_recycled() {
         let sas = tiny_sas(8);
         let vas = sas.session();
         vas.begin(View::LATEST, Some(TxnToken(1)));
@@ -546,10 +547,12 @@ mod tests {
         drop(w);
         vas.free_page(page).unwrap();
         assert!(matches!(vas.read(page), Err(SasError::NoSuchPage(_))));
-        // The address is recycled for the next allocation.
+        // The free may still roll back, and a committed one may still be
+        // read by a snapshot or a fork: the address is not handed out
+        // again.
         let (page2, w) = vas.alloc_page().unwrap();
         drop(w);
-        assert_eq!(page2, page);
+        assert_ne!(page2, page);
     }
 
     #[test]

@@ -233,6 +233,69 @@ fn pool_eviction_pressure_readers_and_writer() {
     assert!(totals.writebacks > 0, "dirty evictions must write back");
 }
 
+/// A reader pairs its page snapshot with the catalog of the same commit.
+/// The writer's every insert adds an element with a new name, so every
+/// commit changes the descriptive schema; a reader that paired one
+/// commit's pages with another commit's schema would miss nodes or chase
+/// blocks its snapshot cannot see. No reader statement may fail, and no
+/// count may go backwards.
+#[test]
+fn readers_pair_each_page_snapshot_with_its_catalog() {
+    use std::sync::atomic::AtomicBool;
+    const INSERTS: u64 = 150;
+    let dir = tmpdir("pairing");
+    let db = Database::create(&dir, DbConfig::small()).unwrap();
+    {
+        let mut s = db.session();
+        s.execute("CREATE DOCUMENT 'g'").unwrap();
+        s.load_xml("g", "<r/>").unwrap();
+    }
+    let done = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (db, done) = (db.clone(), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut s = db.session();
+            for i in 0..INSERTS {
+                s.execute(&format!("UPDATE insert <e{i}>{i}</e{i}> into doc('g')/r"))
+                    .unwrap();
+            }
+            done.store(true, Ordering::Release);
+        })
+    };
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let (db, done) = (db.clone(), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut s = db.session();
+                let (mut last, mut reads) = ([0u64; 2], 0u64);
+                loop {
+                    let finished = done.load(Ordering::Acquire);
+                    for (q, prev) in ["count(doc('g')/r/*)", "sum(doc('g')/r/*)"]
+                        .iter()
+                        .zip(&mut last)
+                    {
+                        let n: u64 = s.query(q).unwrap().parse().unwrap();
+                        assert!(n >= *prev, "{q} went from {prev} to {n}");
+                        *prev = n;
+                    }
+                    reads += 1;
+                    if finished {
+                        return (last[0], reads);
+                    }
+                }
+            })
+        })
+        .collect();
+    writer.join().unwrap();
+    for r in readers {
+        let (count, reads) = r.join().unwrap();
+        assert_eq!(count, INSERTS, "the last read follows the last commit");
+        assert!(reads > 1);
+    }
+    drop(db);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 #[test]
 fn deadlock_victim_can_retry() {
     let dir = tmpdir("deadlock");
