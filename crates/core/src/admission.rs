@@ -97,8 +97,8 @@ impl SessionGate {
 }
 
 /// The catalog generation: a monotonic counter bumped when a commit
-/// publishes a catalog-shape change (a document or index created or
-/// dropped).
+/// publishes a catalog-shape change (a document or index created, dropped
+/// or redefined).
 ///
 /// The plan cache keys entries by `(statement text, generation)`, so a
 /// bump lazily invalidates every cached plan without a conservative

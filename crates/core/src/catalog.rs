@@ -182,16 +182,18 @@ impl CatalogWrites {
         }
     }
 
-    /// Whether publishing changes which documents or indexes exist — the
-    /// catalog shape that compiled plans depend on.
+    /// Whether publishing changes the catalog shape that compiled plans
+    /// depend on: which document each name holds (a document created or
+    /// dropped under a name, even the same name, takes a fresh id), and
+    /// which index definition each index name holds.
     pub(crate) fn reshapes(&self, root: &Catalog) -> bool {
         self.docs
             .iter()
-            .any(|(n, d)| d.is_some() != root.docs.contains_key(n))
+            .any(|(n, d)| d.as_ref().map(|d| d.id) != root.docs.get(n).map(|d| d.id))
             || self
                 .indexes
                 .iter()
-                .any(|(n, i)| i.is_some() != root.indexes.contains_key(n))
+                .any(|(n, i)| i.as_ref().map(|i| &i.meta) != root.indexes.get(n).map(|i| &i.meta))
     }
 
     /// The commit's catalog log records, in key order: `(key, Some(payload))`

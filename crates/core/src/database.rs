@@ -162,11 +162,13 @@ impl Family {
 
 /// One policy-retained commit snapshot (`AS OF` support): the version
 /// manager pins its page versions against purge; the catalog of the same
-/// commit is the metadata view of that moment.
+/// commit is the metadata view of that moment, and `generation` the
+/// catalog generation it was published at.
 struct RetainedSnapshot {
     ts: u64,
     at: Instant,
     catalog: Arc<Catalog>,
+    generation: u64,
 }
 
 pub(crate) struct DbInner {
@@ -203,8 +205,8 @@ pub(crate) struct DbInner {
     /// [`Database::try_session`]); see [`SessionGate`].
     pub(crate) sessions: SessionGate,
     /// Catalog generation: bumped when a commit publishes a catalog-shape
-    /// change (a document or index created or dropped), inside the
-    /// publishing catalog write section. Plan caches key entries by
+    /// change (a document or index created, dropped or redefined), inside
+    /// the publishing catalog write section. Plan caches key entries by
     /// `(statement text, generation)`, so a bump lazily invalidates every
     /// cached plan — in this session and every other — without a
     /// conservative cache clear.
@@ -278,13 +280,17 @@ impl DbInner {
     }
 
     /// Begins a read-only transaction paired with the catalog of the same
-    /// commit: [`DbInner::publish`] takes a commit's timestamp and swaps
-    /// its root under the write lock, so a reader that pins its page
-    /// snapshot and clones the root under the read lock sees all of a
-    /// commit or none of it.
-    pub(crate) fn begin_snapshot(&self) -> (TxnHandle, Arc<Catalog>) {
+    /// commit and that catalog's generation: [`DbInner::publish`] takes a
+    /// commit's timestamp, swaps its root and bumps the generation under
+    /// the write lock, so a reader that pins its page snapshot and clones
+    /// the root under the read lock sees all of a commit or none of it.
+    pub(crate) fn begin_snapshot(&self) -> (TxnHandle, Arc<Catalog>, u64) {
         let root = self.catalog.read();
-        (self.txns.begin_read_only_on(self.branch), Arc::clone(&root))
+        (
+            self.txns.begin_read_only_on(self.branch),
+            Arc::clone(&root),
+            self.catalog_generation.current(),
+        )
     }
 
     /// Takes a document id from a counter that never rolls back: an
@@ -324,11 +330,12 @@ impl DbInner {
         if keep == 0 && max_ms == 0 {
             return;
         }
-        let (snap, catalog) = {
+        let (snap, catalog, generation) = {
             let root = self.catalog.read();
             (
                 self.txns.versions.create_snapshot_on(self.branch),
                 Arc::clone(&root),
+                self.catalog_generation.current(),
             )
         };
         let mut ring = self.retained.lock();
@@ -340,6 +347,7 @@ impl DbInner {
                 ts: snap.ts,
                 at: Instant::now(),
                 catalog,
+                generation,
             });
         }
         while keep > 0 && ring.len() > keep {
@@ -620,12 +628,12 @@ impl Database {
     /// [`DbConfig::retain_ms`]) holds no snapshot at or before `ts`.
     pub fn session_as_of(&self, ts: u64) -> DbResult<Session> {
         let inner = &self.inner;
-        let (snap_ts, catalog) = {
+        let (snap_ts, catalog, generation) = {
             let ring = inner.retained.lock();
             ring.iter()
                 .rev()
                 .find(|r| r.ts <= ts)
-                .map(|r| (r.ts, Arc::clone(&r.catalog)))
+                .map(|r| (r.ts, Arc::clone(&r.catalog), r.generation))
         }
         .ok_or_else(|| {
             DbError::NotFound(format!(
@@ -641,7 +649,12 @@ impl Database {
         inner
             .reserve_session(false)
             .expect("unlimited reservation cannot fail");
-        Ok(Session::new_as_of(Arc::clone(inner), handle, catalog))
+        Ok(Session::new_as_of(
+            Arc::clone(inner),
+            handle,
+            catalog,
+            generation,
+        ))
     }
 
     /// Opens an existing database, running the two-step recovery of §6.4:
@@ -907,9 +920,10 @@ impl Database {
     }
 
     /// The current catalog generation. Bumped when a commit publishes a
-    /// catalog-shape change (a document or index created or dropped);
-    /// plan caches key entries by `(statement text, generation)` so stale
-    /// plans miss instead of requiring a conservative clear.
+    /// catalog-shape change (a document or index created, dropped or
+    /// redefined); plan caches key entries by `(statement text,
+    /// generation)` so stale plans miss instead of requiring a
+    /// conservative clear.
     pub fn catalog_generation(&self) -> u64 {
         self.inner.catalog_generation.current()
     }
@@ -1012,6 +1026,7 @@ impl Database {
             inner.txns.versions.mark_persistent(snap.ts);
             // The create_snapshot ref is dropped; persistence keeps it.
             inner.txns.versions.release_snapshot(snap.ts);
+            inner.sas.reclaim_addresses();
             let alloc = inner.sas.allocator().state();
             let (page_table, drops) = inner.txns.versions.checkpoint_table();
             let infos: HashMap<u32, sedna_txn::BranchInfo> =
@@ -1241,5 +1256,60 @@ fn rebuild_alloc(
         next_layer,
         next_addr,
         free,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Database, DbConfig, StreamOutcome};
+
+    /// Insert/delete churn reuses the page addresses it frees, once no
+    /// reader can read the freed pages: the address space stops growing.
+    #[test]
+    fn churned_page_addresses_are_reused_once_no_reader_reads_them() {
+        let dir = std::env::temp_dir().join(format!("sedna-churn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::create(&dir, DbConfig::small()).unwrap();
+        let mut s = db.session();
+        s.execute("CREATE DOCUMENT 'd'").unwrap();
+        s.load_xml("d", "<r><x>1</x></r>").unwrap();
+        let high_water = || {
+            let a = db.inner.sas.allocator().state();
+            (a.next_layer, a.next_addr)
+        };
+        let churn = |s: &mut crate::Session| {
+            s.execute("UPDATE insert <y>2</y> into doc('d')/r").unwrap();
+            s.execute("UPDATE delete doc('d')/r/y").unwrap();
+        };
+        churn(&mut s);
+        let settled = high_water();
+        for _ in 0..20 {
+            churn(&mut s);
+        }
+        assert_eq!(high_water(), settled);
+
+        // A reader that may still read a freed page keeps its address.
+        s.execute("UPDATE insert <y>2</y> into doc('d')/r").unwrap();
+        let StreamOutcome::Cursor(mut cursor) = s.execute_stream("doc('d')/r").unwrap() else {
+            panic!("an auto-commit query streams");
+        };
+        s.execute("UPDATE delete doc('d')/r/y").unwrap();
+        for _ in 0..3 {
+            churn(&mut s);
+        }
+        let grown = high_water();
+        assert_ne!(grown, settled);
+        assert_eq!(
+            cursor.next_item().unwrap().as_deref(),
+            Some("<r><x>1</x><y>2</y></r>")
+        );
+        drop(cursor);
+        for _ in 0..20 {
+            churn(&mut s);
+        }
+        assert_eq!(high_water(), grown);
+        assert_eq!(s.query("doc('d')/r").unwrap(), "<r><x>1</x></r>");
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,7 +10,8 @@
 //!
 //! Invalidation contract: every entry is stamped with a [`PlanKey`] —
 //! the **catalog generation** (bumped when a commit publishes a
-//! catalog-shape change: a document or index created or dropped)
+//! catalog-shape change: a document or index created, dropped or
+//! redefined)
 //! and the **statistics epoch** (bumped by bulk data changes: document
 //! load/drop, committed updates — so the cost-based planner re-costs
 //! plans whose access-path choice may have flipped). A lookup whose

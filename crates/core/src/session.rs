@@ -151,6 +151,8 @@ enum TxnState {
         handle: TxnHandle,
         /// The published catalog of the commit the page snapshot reads.
         snapshot: Arc<Catalog>,
+        /// The catalog generation `snapshot` was published at.
+        generation: u64,
     },
     Update {
         handle: TxnHandle,
@@ -243,16 +245,23 @@ impl Session {
 
     /// Builds an `AS OF` session: read-only, pinned for its whole
     /// lifetime to the retained snapshot `handle` references, seeing
-    /// `catalog` (the metadata as of that snapshot). Created through
+    /// `catalog` (the metadata as of that snapshot, published at catalog
+    /// generation `generation`). Created through
     /// [`Database::session_as_of`].
     ///
     /// [`Database::session_as_of`]: crate::Database::session_as_of
-    pub(crate) fn new_as_of(db: Arc<DbInner>, handle: TxnHandle, catalog: Arc<Catalog>) -> Session {
+    pub(crate) fn new_as_of(
+        db: Arc<DbInner>,
+        handle: TxnHandle,
+        catalog: Arc<Catalog>,
+        generation: u64,
+    ) -> Session {
         let mut session = Session::new(db);
         session.vas.begin(handle.view(), None);
         session.txn = Some(TxnState::ReadOnly {
             handle,
             snapshot: catalog,
+            generation,
         });
         session.track.set_txn_mode(TxnMode::ReadOnly);
         session.pinned = true;
@@ -374,9 +383,13 @@ impl Session {
         if self.txn.is_some() {
             return Err(DbError::Conflict("a transaction is already active".into()));
         }
-        let (handle, snapshot) = self.db.begin_snapshot();
+        let (handle, snapshot, generation) = self.db.begin_snapshot();
         self.vas.begin(handle.view(), None);
-        self.txn = Some(TxnState::ReadOnly { handle, snapshot });
+        self.txn = Some(TxnState::ReadOnly {
+            handle,
+            snapshot,
+            generation,
+        });
         self.track.set_txn_mode(TxnMode::ReadOnly);
         Ok(())
     }
@@ -498,13 +511,7 @@ impl Session {
                     let mut wal = self.db.wal.lock();
                     let _ = wal.append(&WalRecord::Abort { txn: handle.id.0 });
                 }
-                // Only the pages the transaction allocated are unreachable
-                // from every snapshot and branch: only their addresses go
-                // back to the allocator.
-                let fresh = self.db.txns.abort(&handle);
-                for page in fresh {
-                    self.db.sas.allocator().free_page(page);
-                }
+                self.db.txns.abort(&handle);
                 self.db.gate.exit_shared();
                 self.vas.begin(self.db.latest_view(), None);
                 self.track.set_txn_mode(TxnMode::None);
@@ -664,8 +671,10 @@ impl Session {
     /// is reused by every other until its [`PlanKey`] (catalog
     /// generation, statistics epoch) moves. Cached plans report zero
     /// parse/rewrite nanoseconds. A transaction that reads another
-    /// catalog shape than the published one — an older snapshot, or its
-    /// own uncommitted DDL — neither reads nor fills the shared cache.
+    /// catalog shape than the published one — a snapshot from before a
+    /// shape change, or its own uncommitted DDL — neither reads nor fills
+    /// the shared cache. The plan is costed on the root its key was read
+    /// with.
     fn plan_statement(&mut self, text: &str) -> DbResult<(Statement, u64, u64)> {
         let (root, generation) = self.db.published_with_generation();
         let key = PlanKey {
@@ -674,10 +683,9 @@ impl Session {
         };
         let shared = match &self.txn {
             None => true,
-            Some(TxnState::ReadOnly { snapshot, .. }) => Arc::ptr_eq(snapshot, &root),
+            Some(TxnState::ReadOnly { generation: g, .. }) => *g == generation,
             Some(TxnState::Update { writes, .. }) => !writes.reshapes(&root),
         };
-        drop(root);
         if shared {
             if let Some(stmt) = self.db.shared_plans.get(text, key) {
                 self.db.obs.query.plan_cache_hits.inc();
@@ -696,7 +704,7 @@ impl Session {
         let stmt = sedna_xquery::static_ctx::analyze(stmt)?;
         let mut stmt = sedna_xquery::rewrite::rewrite_statement(stmt);
         if self.db.cfg.cost_based_planner {
-            self.cost_plan(&mut stmt);
+            self.cost_plan(&mut stmt, root);
         }
         let rewrite_ns = rewrite_span.finish();
         if shared {
@@ -708,14 +716,14 @@ impl Session {
     /// Runs the cost-based planner over a freshly rewritten statement:
     /// assembles the planner's view (the referenced documents'
     /// descriptive-schema statistics plus the declared indexes on them)
-    /// from the catalog the statement runs on, lets it rewrite profitable
-    /// equality predicates onto B-tree index scans and order predicates
-    /// by selectivity, then records the access-path choice in the
-    /// `sedna_plan_chosen_*` counters and
+    /// from the catalog the statement runs on over the published `root`,
+    /// lets it rewrite profitable equality predicates onto B-tree index
+    /// scans and order predicates by selectivity, then records the
+    /// access-path choice in the `sedna_plan_chosen_*` counters and
     /// [`Session::last_plan_decision`].
-    fn cost_plan(&mut self, stmt: &mut Statement) {
+    fn cost_plan(&mut self, stmt: &mut Statement, root: Arc<Catalog>) {
         let names = collect_doc_names(stmt);
-        let view = self.view(&names);
+        let view = self.view(root, &names);
         let docs: HashMap<String, &SchemaTree> = names
             .iter()
             .filter_map(|n| view.docs.get(n).map(|d| (n.clone(), &d.schema)))
@@ -810,17 +818,16 @@ impl Session {
     // Queries
     // --------------------------------------------------------------
 
-    /// The catalog this session's statements see, unlocked: the published
-    /// root outside a transaction, a read-only transaction's snapshot, and
-    /// for an update transaction the documents `names` and the indexes on
-    /// them, with its own writes over the published root.
-    fn view(&self, names: &[String]) -> Arc<Catalog> {
+    /// The catalog this session's statements see over the published
+    /// `root`, unlocked: `root` itself outside a transaction, a read-only
+    /// transaction's snapshot, and for an update transaction the
+    /// documents `names` and the indexes on them, with its own writes
+    /// over `root`.
+    fn view(&self, root: Arc<Catalog>, names: &[String]) -> Arc<Catalog> {
         match &self.txn {
-            None => self.db.published(),
+            None => root,
             Some(TxnState::ReadOnly { snapshot, .. }) => Arc::clone(snapshot),
-            Some(TxnState::Update { writes, .. }) => {
-                Arc::new(writes.view(&self.db.published(), names))
-            }
+            Some(TxnState::Update { writes, .. }) => Arc::new(writes.view(&root, names)),
         }
     }
 
@@ -830,7 +837,7 @@ impl Session {
     /// reads, taken after locking each in `mode`.
     fn locked_view(&self, stmt: &Statement, mode: LockMode) -> DbResult<Arc<Catalog>> {
         let Some(TxnState::Update { handle, writes }) = &self.txn else {
-            return Ok(self.view(&[]));
+            return Ok(self.view(self.db.published(), &[]));
         };
         let root = self.db.published();
         let mut names = collect_doc_names(stmt);
@@ -846,7 +853,7 @@ impl Session {
             self.db.txns.locks.lock_document(handle.id, id, mode)?;
         }
         // Read again: a writer this waited for may have published since.
-        Ok(self.view(&names))
+        Ok(self.view(self.db.published(), &names))
     }
 
     // --------------------------------------------------------------

@@ -437,7 +437,7 @@ impl QueryCursor {
         stmt: Statement,
         obs: StatementObs,
     ) -> DbResult<QueryCursor> {
-        let (handle, catalog) = db.begin_snapshot();
+        let (handle, catalog, _) = db.begin_snapshot();
         let vas = db.sas.session();
         vas.begin(handle.view(), None);
         let pull = Pull::open(&db, stmt, obs, catalog, Some(handle))?;

@@ -252,3 +252,112 @@ fn uncommitted_index_ddl_leaves_other_sessions_plans_alone() {
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `count` items whose `k` is `vN` and whose `j` is `v(N+1)`: an index BY
+/// `j` answers a probe for `k = "vN"` with item N - 1.
+fn shifted_doc(count: usize) -> String {
+    let items: String = (0..count)
+        .map(|i| format!("<item><k>v{i}</k><j>v{}</j></item>", i + 1))
+        .collect();
+    format!("<r>{items}</r>")
+}
+
+/// Dropping an index and re-creating it under the same name with another
+/// BY path in one transaction is a shape change: plans cached on the old
+/// definition — a query's and an update's — are not served after the
+/// commit, nor to the transaction's own statements after the re-create.
+#[test]
+fn redefining_an_index_in_one_transaction_invalidates_its_plans() {
+    let dir = tmpdir("redefine");
+    let db = Database::create(&dir, DbConfig::default()).unwrap();
+    let mut s = db.session();
+    s.execute("CREATE DOCUMENT 'd'").unwrap();
+    s.load_xml("d", &shifted_doc(600)).unwrap();
+    s.execute("CREATE INDEX 'i' ON doc('d')/r/item BY k AS xs:string")
+        .unwrap();
+    let q = "doc('d')/r/item[k = \"v500\"]/j/text()";
+    // No item has k = "v600" (but item 599 has j = "v600"): the update
+    // has no target and changes nothing, so its plan stays cached.
+    let u = "UPDATE delete doc('d')/r/item[k = \"v600\"]";
+    for _ in 0..2 {
+        assert_eq!(s.query(q).unwrap(), "v501");
+        assert!(s.execute(u).is_err(), "empty update target");
+    }
+    assert_eq!(
+        s.last_profile().unwrap().parse_ns,
+        0,
+        "the query plan is cached"
+    );
+    assert_eq!(
+        s.last_plan_decision().unwrap().access_path,
+        sedna::AccessPath::Index
+    );
+
+    let mut t = db.session();
+    t.begin_update().unwrap();
+    t.execute("DROP INDEX 'i'").unwrap();
+    t.execute("CREATE INDEX 'i' ON doc('d')/r/item BY j AS xs:string")
+        .unwrap();
+    assert_eq!(t.query(q).unwrap(), "v501", "the transaction's own plan");
+    t.commit().unwrap();
+
+    assert_eq!(s.query(q).unwrap(), "v501");
+    assert!(s.execute(u).is_err(), "empty update target");
+    assert_eq!(s.query("count(doc('d')/r/item)").unwrap(), "600");
+
+    // The same through a dropped and re-created document.
+    t.begin_update().unwrap();
+    t.execute("DROP DOCUMENT 'd'").unwrap();
+    t.execute("CREATE DOCUMENT 'd'").unwrap();
+    t.load_xml("d", &shifted_doc(600)).unwrap();
+    t.execute("CREATE INDEX 'i' ON doc('d')/r/item BY k AS xs:string")
+        .unwrap();
+    t.commit().unwrap();
+    for _ in 0..2 {
+        assert_eq!(s.query(q).unwrap(), "v501");
+    }
+
+    drop((s, t));
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A commit that changes data but not the catalog shape leaves an open
+/// read-only transaction, and an `AS OF` session, on the shared plan
+/// cache: they reuse what another session compiled after the commit.
+#[test]
+fn snapshots_share_plans_across_a_data_only_commit() {
+    let dir = tmpdir("snapshot-share");
+    let cfg = DbConfig {
+        retain_snapshots: 4,
+        ..DbConfig::default()
+    };
+    let db = Database::create(&dir, cfg).unwrap();
+    let mut s = db.session();
+    s.execute("CREATE DOCUMENT 'd'").unwrap();
+    s.load_xml("d", &skewed_doc(10)).unwrap();
+    let ts = *db.retained_snapshots().last().unwrap();
+    let mut reader = db.session();
+    reader.begin_read_only().unwrap();
+    let mut as_of = db.session_as_of(ts).unwrap();
+
+    s.execute("UPDATE insert <item><k>new</k></item> into doc('d')/r")
+        .unwrap();
+    let q = "count(doc('d')/r/item)";
+    assert_eq!(s.query(q).unwrap(), "11");
+    assert_eq!(reader.query(q).unwrap(), "10");
+    assert_eq!(reader.last_profile().unwrap().parse_ns, 0, "read-only hit");
+    assert_eq!(as_of.query(q).unwrap(), "10");
+    assert_eq!(as_of.last_profile().unwrap().parse_ns, 0, "AS OF hit");
+
+    // After a shape change they compile on their own snapshot.
+    s.execute("CREATE DOCUMENT 'e'").unwrap();
+    assert_eq!(s.query(q).unwrap(), "11");
+    assert_eq!(reader.query(q).unwrap(), "10");
+    assert!(reader.last_profile().unwrap().parse_ns > 0);
+
+    reader.commit().unwrap();
+    drop((s, reader, as_of));
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

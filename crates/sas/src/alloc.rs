@@ -8,11 +8,11 @@ use crate::xptr::XPtr;
 ///
 /// Layers are filled sequentially; when the current layer is exhausted, the
 /// allocator moves to the next layer. Addresses handed back through
-/// [`AddressAllocator::free_page`] — those of pages only a rolled-back
-/// transaction ever allocated — are recycled first; a page freed by a
-/// transaction keeps its address for good, because snapshots and forks
-/// may still read it. Page `XPtr(0:0)` is never produced — it is the
-/// null pointer.
+/// [`AddressAllocator::free_page`] are recycled first: those the page
+/// resolver reclaims once no view can read the page (see
+/// [`crate::Sas::alloc_address`]), never a page whose free may still roll
+/// back or that a snapshot or fork may still read. Page `XPtr(0:0)` is
+/// never produced — it is the null pointer.
 ///
 /// The allocator's state is part of the database catalog: it is saved by
 /// checkpoints and restored on recovery via [`AddressAllocator::state`] /

@@ -192,6 +192,22 @@ impl Sas {
         &self.allocator
     }
 
+    /// Allocates a page address, reusing first those the resolver has
+    /// reclaimed.
+    pub fn alloc_address(&self) -> XPtr {
+        self.reclaim_addresses();
+        self.allocator
+            .alloc_page(self.cfg.page_size, self.cfg.layer_size)
+    }
+
+    /// Moves the addresses the resolver has reclaimed onto the
+    /// allocator's free list (before its state is checkpointed).
+    pub fn reclaim_addresses(&self) {
+        for page in self.resolver.take_reclaimed() {
+            self.allocator.free_page(page);
+        }
+    }
+
     /// Opens a new session mapping (an emulated process VAS).
     pub fn session(self: &Arc<Self>) -> Vas {
         Vas::new(Arc::clone(self))

@@ -65,6 +65,13 @@ pub trait PageResolver: Send + Sync {
 
     /// Releases `page` (all its versions become garbage once unreferenced).
     fn on_page_free(&self, page: XPtr, txn: Option<TxnToken>) -> SasResult<()>;
+
+    /// Takes the addresses of the pages no view can read any more — each
+    /// free final and every snapshot and branch that read the page gone —
+    /// so the allocator can hand them out again.
+    fn take_reclaimed(&self) -> Vec<XPtr> {
+        Vec::new()
+    }
 }
 
 /// A resolver with no versioning: each SAS page maps to exactly one

@@ -321,11 +321,7 @@ impl Vas {
         if txn.is_none() {
             return Err(SasError::NoWriteTxn);
         }
-        let cfg = self.sas.config();
-        let page = self
-            .sas
-            .allocator()
-            .alloc_page(cfg.page_size, cfg.layer_size);
+        let page = self.sas.alloc_address();
         let phys = self.sas.resolver().on_page_alloc(page, txn)?;
         let fresh = self
             .sas
@@ -359,8 +355,10 @@ impl Vas {
                 slots[idx] = Slot::default();
             }
         }
-        // The address is not recycled: the free is final only at commit,
-        // and even then snapshots and forks may still read the page.
+        // The address is not recycled here: the free is final only at
+        // commit, and even then snapshots and forks may still read the
+        // page. The resolver reclaims it once none can
+        // (`PageResolver::take_reclaimed`).
         self.sas.resolver().on_page_free(page, txn)?;
         Ok(())
     }

@@ -165,20 +165,16 @@ impl TxnManager {
         }
     }
 
-    /// Aborts: working versions are discarded, locks released. Returns
-    /// the SAS pages the transaction had freshly allocated so the caller
-    /// can recycle their addresses.
-    pub fn abort(&self, txn: &TxnHandle) -> Vec<sedna_sas::XPtr> {
+    /// Aborts: working versions are discarded, locks released.
+    pub fn abort(&self, txn: &TxnHandle) {
         self.metrics.aborts.inc();
         match txn.kind {
             TxnKind::Update => {
-                let fresh = self.versions.rollback(txn.id);
+                self.versions.rollback(txn.id);
                 self.locks.release_all(txn.id);
-                fresh
             }
             TxnKind::ReadOnly { snapshot_ts } => {
                 self.versions.release_snapshot_on(txn.branch, snapshot_ts);
-                Vec::new()
             }
         }
     }

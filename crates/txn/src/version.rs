@@ -26,7 +26,7 @@
 //! through the ordinary copy-on-write `resolve_write` path, each new
 //! version tagged with the writer's branch.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use sedna_obs::Gauge;
@@ -188,6 +188,13 @@ struct VmState {
     /// gone stale (a page allocated and freed again): readers go through
     /// [`VmState::touched`] and check the chain.
     txn_pages: HashMap<u64, Vec<u64>>,
+    /// `(drop ts, page)` of the chains that outlived a committed free
+    /// because a snapshot or a branch still read them. A commit purges
+    /// each once no snapshot began before its drop.
+    dropped: BTreeSet<(u64, u64)>,
+    /// Addresses of pages whose chain is gone — no view can read them —
+    /// waiting for [`PageResolver::take_reclaimed`].
+    reclaimed: Vec<XPtr>,
     stats: VersionStats,
 }
 
@@ -212,6 +219,13 @@ impl VmState {
             }
         }
         views
+    }
+
+    /// Removes `page`'s chain: no view reads the page any more, so its
+    /// address may be handed out again.
+    fn remove_chain(&mut self, page: u64) {
+        self.chains.remove(&page);
+        self.reclaimed.push(XPtr::from_raw(page));
     }
 
     fn note_touched(&mut self, txn: TxnId, page: u64) {
@@ -294,6 +308,8 @@ impl VersionManager {
                 branches: HashMap::new(),
                 txn_branch: HashMap::new(),
                 txn_pages: HashMap::new(),
+                dropped: BTreeSet::new(),
+                reclaimed: Vec::new(),
                 stats: VersionStats::default(),
             }),
         })
@@ -347,12 +363,16 @@ impl VersionManager {
     /// on its branch and its pending page frees are finalized. Returns the
     /// commit timestamp.
     pub fn commit(&self, txn: TxnId) -> u64 {
-        let mut freed = Vec::new();
+        let mut freed;
         let ts;
         {
             let mut st = self.state.lock();
             st.current_ts += 1;
             ts = st.current_ts;
+            // Purged here, not where a snapshot goes: a checkpoint, which
+            // excludes commits, demotes the snapshot its predecessor's
+            // page table needs before its own is durable.
+            freed = Self::purge_dropped(&mut st);
             let pages = st.touched(txn);
             st.txn_pages.remove(&txn.0);
             for page in pages {
@@ -364,14 +384,18 @@ impl VersionManager {
                     chain.versions[0].committed = Some(ts);
                     changed = true;
                 }
+                let mut dropped = false;
                 for d in chain.drops.values_mut() {
                     if *d == DropState::PendingBy(txn) {
                         *d = DropState::DroppedAt(ts);
-                        changed = true;
+                        dropped = true;
                     }
                 }
-                if changed {
+                if changed || dropped {
                     freed.extend(Self::purge_chain(&mut st, page));
+                }
+                if dropped && st.chains.contains_key(&page) {
+                    st.dropped.insert((ts, page));
                 }
             }
             st.active.retain(|&t| t != txn);
@@ -420,11 +444,10 @@ impl VersionManager {
     }
 
     /// Rolls `txn` back: its working versions are simply discarded and
-    /// its pending frees undone. Returns the SAS pages the transaction
-    /// had freshly allocated (their addresses can be recycled).
-    pub fn rollback(&self, txn: TxnId) -> Vec<XPtr> {
+    /// its pending frees undone. The addresses of the pages it had freshly
+    /// allocated are reclaimed.
+    pub fn rollback(&self, txn: TxnId) {
         let mut discarded = Vec::new();
-        let mut fresh_pages = Vec::new();
         {
             let mut st = self.state.lock();
             let pages = st.touched(txn);
@@ -438,8 +461,7 @@ impl VersionManager {
                 if VmState::has_working(chain, txn) {
                     discarded.push(chain.versions.remove(0).phys);
                     if chain.versions.is_empty() {
-                        st.chains.remove(&page);
-                        fresh_pages.push(XPtr::from_raw(page));
+                        st.remove_chain(page);
                     }
                 }
             }
@@ -450,7 +472,6 @@ impl VersionManager {
         for phys in discarded {
             let _ = self.store.free(phys);
         }
-        fresh_pages
     }
 
     /// Creates a snapshot of the current committed state of the root
@@ -616,7 +637,7 @@ impl VersionManager {
                     });
                     chain.drops.remove(&branch);
                     if chain.versions.is_empty() {
-                        st.chains.remove(&page);
+                        st.remove_chain(page);
                     }
                 }
                 st.stats.versions_purged += purged;
@@ -768,12 +789,33 @@ impl VersionManager {
         st.current_ts = st.current_ts.max(ts);
     }
 
+    /// Purges the chains kept after a committed free that no snapshot
+    /// reads any more — a snapshot reads a dropped page only when it
+    /// began before the drop — and forgets them: a chain a branch still
+    /// reads goes when the branch does. Returns the freed physical slots.
+    fn purge_dropped(st: &mut VmState) -> Vec<PhysId> {
+        let oldest = st.snapshots.iter().map(|s| s.snap.ts).min();
+        let due: Vec<(u64, u64)> = st
+            .dropped
+            .range(..=(oldest.unwrap_or(u64::MAX), u64::MAX))
+            .copied()
+            .collect();
+        let mut freed = Vec::new();
+        for entry in due {
+            st.dropped.remove(&entry);
+            freed.extend(Self::purge_chain(st, entry.1));
+        }
+        freed
+    }
+
     /// Purges chain versions made obsolete; returns freed physical slots.
     /// A version is retained when it is working or when some live view —
     /// the latest state of any branch, or a pinned snapshot — resolves to
-    /// it through the fork lineage.
+    /// it through the fork lineage. A chain left with no version and no
+    /// pending free is removed and its address reclaimed.
     fn purge_chain(st: &mut VmState, page: u64) -> Vec<PhysId> {
         let mut freed = Vec::new();
+        let mut removed = false;
         let views = st.live_views();
         let VmState {
             chains,
@@ -803,9 +845,10 @@ impl VersionManager {
                 .drops
                 .values()
                 .any(|d| matches!(d, DropState::PendingBy(_)));
-            if chain.versions.is_empty() && !has_pending {
-                chains.remove(&page);
-            }
+            removed = chain.versions.is_empty() && !has_pending;
+        }
+        if removed {
+            st.remove_chain(page);
         }
         freed
     }
@@ -957,6 +1000,10 @@ impl PageResolver for VersionManager {
         Ok(phys)
     }
 
+    fn take_reclaimed(&self) -> Vec<XPtr> {
+        std::mem::take(&mut self.state.lock().reclaimed)
+    }
+
     fn on_page_free(&self, page: XPtr, txn: Option<TxnToken>) -> SasResult<()> {
         let mut freed = Vec::new();
         {
@@ -984,7 +1031,7 @@ impl PageResolver for VersionManager {
                 Some(_) => {
                     // The page never had a committed version: the chain
                     // held only this transaction's working version.
-                    st.chains.remove(&page.raw());
+                    st.remove_chain(page.raw());
                 }
                 None => {
                     // Non-transactional free: an immediately-committed
@@ -993,6 +1040,9 @@ impl PageResolver for VersionManager {
                     let ts = st.current_ts;
                     chain.drops.insert(branch, DropState::DroppedAt(ts));
                     freed.extend(Self::purge_chain(st, page.raw()));
+                    if st.chains.contains_key(&page.raw()) {
+                        st.dropped.insert((ts, page.raw()));
+                    }
                 }
             }
         }
@@ -1125,6 +1175,50 @@ mod tests {
         assert!(vm.stats().versions_purged >= 7, "stats: {:?}", vm.stats());
         // Exactly the live versions remain allocated.
         assert!(store.allocated() <= 2);
+    }
+
+    #[test]
+    fn a_freed_page_address_is_reclaimed_once_no_view_reads_it() {
+        let (vm, store) = setup();
+        let t1 = TxnId(1);
+        vm.begin_update(t1);
+        vm.on_page_alloc(page(1), Some(t1.token())).unwrap();
+        vm.on_page_alloc(page(2), Some(t1.token())).unwrap();
+        vm.commit(t1);
+
+        // A pending free may roll back: nothing is reclaimed.
+        let t2 = TxnId(2);
+        vm.begin_update(t2);
+        vm.on_page_free(page(1), Some(t2.token())).unwrap();
+        assert!(vm.take_reclaimed().is_empty());
+        // Committed with no reader: the chain goes, the address comes back.
+        vm.commit(t2);
+        assert_eq!(vm.take_reclaimed(), vec![page(1)]);
+
+        // Committed while a snapshot still reads the page: kept, slot and
+        // address, until the first commit after the snapshot goes.
+        let snap = vm.create_snapshot();
+        let t3 = TxnId(3);
+        vm.begin_update(t3);
+        vm.on_page_free(page(2), Some(t3.token())).unwrap();
+        vm.commit(t3);
+        assert!(vm.take_reclaimed().is_empty());
+        assert!(vm.resolve_read(page(2), snapshot_view(snap.ts)).is_ok());
+        let allocated = store.allocated();
+        vm.release_snapshot(snap.ts);
+        assert!(vm.take_reclaimed().is_empty());
+        let t4 = TxnId(4);
+        vm.begin_update(t4);
+        vm.commit(t4);
+        assert_eq!(vm.take_reclaimed(), vec![page(2)]);
+        assert_eq!(store.allocated(), allocated - 1, "the kept slot is freed");
+
+        // A rolled-back allocation hands its address back too.
+        let t5 = TxnId(5);
+        vm.begin_update(t5);
+        vm.on_page_alloc(page(3), Some(t5.token())).unwrap();
+        vm.rollback(t5);
+        assert_eq!(vm.take_reclaimed(), vec![page(3)]);
     }
 
     #[test]
@@ -1522,7 +1616,9 @@ mod tests {
         // Rollback of t3 and commit of t2 leave exactly what a full scan
         // of the chains says they should.
         let allocated = store.allocated();
-        assert!(vm.rollback(t3).is_empty());
+        vm.take_reclaimed();
+        vm.rollback(t3);
+        assert!(vm.take_reclaimed().is_empty(), "t3 allocated no page");
         assert_eq!(store.allocated(), allocated - 2, "t3's two versions freed");
         assert!(
             vm.resolve_read(page(6), View::LATEST).is_ok(),
