@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use sedna::{DbConfig, Governor};
 use sedna_net::{
     ClientError, Credentials, ExecReply, NetConfig, Request, Response, SednaClient, Server,
-    ServerHandle, PROTOCOL_VERSION,
+    ServerHandle, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -863,6 +863,201 @@ fn every_protocol_version_but_the_current_one_is_refused() {
         }
     }
 
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One raw frame: `u32` BE length (code byte plus body), code, body.
+fn raw_frame(code: u8, body: &[u8]) -> Vec<u8> {
+    let mut out = (1 + body.len() as u32).to_be_bytes().to_vec();
+    out.push(code);
+    out.extend_from_slice(body);
+    out
+}
+
+fn request_bytes(reqs: &[Request]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for r in reqs {
+        r.write_to(&mut out).unwrap();
+    }
+    out
+}
+
+fn start_session_request() -> Request {
+    Request::StartSession {
+        version: PROTOCOL_VERSION,
+        database: "db".into(),
+        user: String::new(),
+        password: String::new(),
+    }
+}
+
+/// The server's answer to every request shape no other test pins: for
+/// each case, the responses that precede the answer, the answer's kind
+/// and message, and whether the connection stays open afterwards. Every
+/// case runs on a fresh raw connection, and none of them counts as a
+/// rejected connection.
+#[test]
+fn wire_answers_are_pinned_case_by_case() {
+    use sedna_net::protocol::codes;
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    struct Case {
+        name: &'static str,
+        /// Open a session before sending `bytes`.
+        session: bool,
+        bytes: Vec<u8>,
+        /// `Pong`s expected ahead of the answer (requests queued before it).
+        pongs: usize,
+        kind: &'static str,
+        message: &'static str,
+        open: bool,
+    }
+    let as_of = |ts| Request::AsOf {
+        version: PROTOCOL_VERSION,
+        database: "db".into(),
+        ts,
+        user: String::new(),
+        password: String::new(),
+    };
+    let ping = request_bytes(&[Request::Ping]);
+    let cases = vec![
+        Case {
+            name: "StartSession on a session connection",
+            session: true,
+            bytes: request_bytes(&[start_session_request()]),
+            pongs: 0,
+            kind: "conflict",
+            message: "session already started on this connection",
+            open: true,
+        },
+        Case {
+            name: "AsOf on a session connection",
+            session: true,
+            bytes: request_bytes(&[as_of(1)]),
+            pongs: 0,
+            kind: "conflict",
+            message: "session already started on this connection",
+            open: true,
+        },
+        Case {
+            name: "a session request before any session",
+            session: false,
+            bytes: request_bytes(&[Request::Commit]),
+            pongs: 0,
+            kind: "conflict",
+            message: "no session started on this connection",
+            open: true,
+        },
+        Case {
+            name: "FetchBatch of zero items",
+            session: true,
+            bytes: request_bytes(&[Request::FetchBatch { max: 0 }]),
+            pongs: 0,
+            kind: "protocol",
+            message: "fetch batch size must be at least 1",
+            open: true,
+        },
+        Case {
+            name: "a known code with a truncated body",
+            session: true,
+            bytes: raw_frame(codes::FETCH_BATCH, &[0, 1]),
+            pongs: 0,
+            kind: "protocol",
+            message: "truncated frame body",
+            open: false,
+        },
+        Case {
+            name: "an unknown code",
+            session: false,
+            bytes: raw_frame(0x7F, b""),
+            pongs: 0,
+            kind: "protocol",
+            message: "unknown request code 0x7f",
+            open: false,
+        },
+        Case {
+            name: "AsOf with no retained snapshot",
+            session: false,
+            bytes: request_bytes(&[as_of(1)]),
+            pongs: 0,
+            kind: "not_found",
+            message: "not found: no retained snapshot at or before ts 1 \
+                      (see DbConfig::retain_snapshots)",
+            open: false,
+        },
+        Case {
+            name: "DropFork of a root database",
+            session: false,
+            bytes: request_bytes(&[Request::DropFork { name: "db".into() }]),
+            pongs: 0,
+            kind: "conflict",
+            message: "conflict: database 'db' is not a fork; use DropDatabase",
+            open: true,
+        },
+        Case {
+            name: "a zero-length frame behind a valid request",
+            session: false,
+            bytes: [ping.clone(), vec![0, 0, 0, 0, codes::PING]].concat(),
+            pongs: 1,
+            kind: "protocol",
+            message: "malformed frame",
+            open: false,
+        },
+        Case {
+            name: "an oversize frame behind a valid request",
+            session: false,
+            bytes: [
+                ping.clone(),
+                ((DEFAULT_MAX_FRAME + 1) as u32).to_be_bytes().to_vec(),
+                vec![codes::PING],
+            ]
+            .concat(),
+            pongs: 1,
+            kind: "protocol",
+            message: "frame of 16777217 bytes exceeds the 16777216-byte limit",
+            open: false,
+        },
+    ];
+
+    let (handle, dir, _governor) = start_server("answers", 0);
+    let recv = |s: &mut TcpStream| Response::read_from(s, DEFAULT_MAX_FRAME);
+    for case in cases {
+        let rejected = handle.metrics().connections_rejected.get();
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        if case.session {
+            start_session_request().write_to(&mut s).unwrap();
+            assert_eq!(recv(&mut s).unwrap(), Response::SessionStarted);
+        }
+        s.write_all(&case.bytes).unwrap();
+        for _ in 0..case.pongs {
+            assert_eq!(recv(&mut s).unwrap(), Response::Pong, "{}", case.name);
+        }
+        assert_eq!(
+            recv(&mut s).unwrap(),
+            Response::Error {
+                kind: case.kind.into(),
+                message: case.message.into(),
+            },
+            "{}",
+            case.name
+        );
+        // Open: a Ping is answered. Closed: the read sees the end of
+        // the stream (the write may already fail).
+        let _ = Request::Ping.write_to(&mut s);
+        match recv(&mut s) {
+            Ok(r) => assert!(case.open && r == Response::Pong, "{}: {r:?}", case.name),
+            Err(e) => assert!(!case.open, "{}: {e}", case.name),
+        }
+        assert_eq!(
+            handle.metrics().connections_rejected.get(),
+            rejected,
+            "{}",
+            case.name
+        );
+    }
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
