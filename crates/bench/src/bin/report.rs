@@ -85,8 +85,9 @@ struct NetBenchRow {
 }
 
 /// `clients` threads, each with its own [`sedna_net::SednaClient`],
-/// running the same one-item query (Execute + FetchNext + ResultEnd:
-/// three round-trips) for a fixed wall-clock window.
+/// running the same one-item query through `SednaClient::query`
+/// (Execute, then one `FetchBatch(64)` that carries the item and the end
+/// of the result: two round-trips) for a fixed wall-clock window.
 fn run_net_client_sweep(
     addr: std::net::SocketAddr,
     clients: usize,

@@ -163,6 +163,16 @@ impl CatalogWrites {
             .collect()
     }
 
+    /// Every document name the transaction sees, sorted.
+    pub(crate) fn doc_names(&self, root: &Catalog) -> Vec<String> {
+        let names: BTreeSet<&String> = root.docs.keys().chain(self.docs.keys()).collect();
+        names
+            .into_iter()
+            .filter(|n| self.doc(root, n).is_ok())
+            .cloned()
+            .collect()
+    }
+
     /// The catalog a statement of the transaction reads: the documents
     /// `names` that exist and every index on them.
     pub(crate) fn view(&self, root: &Catalog, names: &[String]) -> Catalog {

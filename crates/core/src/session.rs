@@ -834,20 +834,17 @@ impl Session {
     /// The catalog a statement inside the open transaction runs on: a
     /// read-only transaction's snapshot (no locks, §6.3), or the update
     /// transaction's [`Session::view`] of the documents the statement
-    /// reads, taken after locking each in `mode`.
+    /// reads ([`read_set`]; every document for a computed name), taken
+    /// after locking each in `mode`.
     fn locked_view(&self, stmt: &Statement, mode: LockMode) -> DbResult<Arc<Catalog>> {
         let Some(TxnState::Update { handle, writes }) = &self.txn else {
             return Ok(self.view(self.db.published(), &[]));
         };
         let root = self.db.published();
-        let mut names = collect_doc_names(stmt);
-        for index in collect_index_names(stmt) {
-            if let Ok(i) = writes.index(&root, &index) {
-                if !names.contains(&i.meta.doc) {
-                    names.push(i.meta.doc.clone());
-                }
-            }
-        }
+        let names = read_set(stmt, |i| {
+            Some(writes.index(&root, i).ok()?.meta.doc.clone())
+        })
+        .unwrap_or_else(|| writes.doc_names(&root));
         for name in &names {
             let id = writes.doc(&root, name)?.id;
             self.db.txns.locks.lock_document(handle.id, id, mode)?;
@@ -867,7 +864,7 @@ impl Session {
         // wait for X).
         let view = self.locked_view(stmt, LockMode::X)?;
         let (name, plan) = {
-            let qv = query_view(&self.vas, &view);
+            let qv = query_view(&self.vas, &view, None);
             let (doc_idx, plan, plan_stats) = update::plan_update_with_stats(stmt, &qv)?;
             self.last_stats = plan_stats;
             (qv.docs[doc_idx].name.clone(), plan)
@@ -1122,6 +1119,37 @@ fn visit_statement<'a>(stmt: &'a Statement, f: &mut impl FnMut(&'a Expr)) {
         },
         StatementKind::Ddl(_) => {}
     }
+}
+
+/// The documents a statement reads: those it names and those of the
+/// indexes it scans, looked up by `index_doc`. `None` when a `doc()`
+/// argument or a scanned index's name is computed, so the statement may
+/// read any document.
+pub(crate) fn read_set(
+    stmt: &Statement,
+    index_doc: impl Fn(&str) -> Option<String>,
+) -> Option<Vec<String>> {
+    let mut computed = false;
+    visit_statement(stmt, &mut |e| {
+        if let Expr::FnCall { name, args, .. } = e {
+            let by_name = ["doc", "document", "index-scan", "index-scan-between"];
+            computed |= by_name.contains(&name.as_str())
+                && !matches!(args.first(), Some(Expr::Literal(Atom::String(_))));
+        }
+    });
+    if computed {
+        return None;
+    }
+    let mut names = collect_doc_names(stmt);
+    for doc in collect_index_names(stmt)
+        .iter()
+        .filter_map(|i| index_doc(i))
+    {
+        if !names.contains(&doc) {
+            names.push(doc);
+        }
+    }
+    Some(names)
 }
 
 /// Document names statically referenced by a statement (`doc('name')`

@@ -40,12 +40,12 @@ use sedna_xquery::exec::{
 use sedna_xquery::value::Item as QueryItem;
 use sedna_xquery::{cost, OpProfile, QueryError};
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, DocData};
 use crate::database::DbInner;
 use crate::error::{DbError, DbResult};
 use crate::introspect::{SessionTrack, SlowQueryEntry};
 use crate::metrics::QueryProfile;
-use crate::session::collect_doc_names;
+use crate::session::{collect_doc_names, read_set};
 
 /// Nanoseconds elapsed since `started`, saturated to `u64`.
 pub(crate) fn elapsed_ns(started: Instant) -> u64 {
@@ -152,27 +152,37 @@ impl StatementObs {
     }
 }
 
-/// The executor's borrowed view over a catalog.
-pub(crate) fn query_view<'a>(vas: &'a Vas, catalog: &'a Catalog) -> QueryView<'a> {
-    let docs: Vec<DocEntry> = catalog
-        .docs
-        .iter()
-        .map(|(name, d)| DocEntry {
+/// The executor's borrowed view over the documents `names` of a catalog
+/// (every document when `None`) and the indexes on them.
+pub(crate) fn query_view<'a>(
+    vas: &'a Vas,
+    catalog: &'a Catalog,
+    names: Option<&[String]>,
+) -> QueryView<'a> {
+    fn entry<'a>((name, d): (&String, &'a Arc<DocData>)) -> DocEntry<'a> {
+        DocEntry {
             name: name.clone(),
             schema: &d.schema,
             doc: &d.storage,
-        })
-        .collect();
+        }
+    }
+    let docs: Vec<DocEntry> = match names {
+        Some(names) => names
+            .iter()
+            .filter_map(|n| catalog.docs.get_key_value(n))
+            .map(entry)
+            .collect(),
+        None => catalog.docs.iter().map(entry).collect(),
+    };
     let indexes = catalog
         .indexes
         .iter()
-        .map(|(name, i)| IndexEntry {
-            name: name.clone(),
-            doc: docs
-                .iter()
-                .position(|d| d.name == i.meta.doc)
-                .unwrap_or(usize::MAX),
-            index: &i.tree,
+        .filter_map(|(name, i)| {
+            Some(IndexEntry {
+                name: name.clone(),
+                doc: docs.iter().position(|d| d.name == i.meta.doc)?,
+                index: &i.tree,
+            })
         })
         .collect();
     QueryView { vas, docs, indexes }
@@ -197,6 +207,9 @@ pub(crate) struct Pull {
     /// runs over its session's open transaction, which it never ends.
     txn: Option<TxnHandle>,
     catalog: Arc<Catalog>,
+    /// The documents of `catalog` the statement reads ([`read_set`]);
+    /// `None`: every one.
+    reads: Option<Vec<String>>,
     stmt: Statement,
     plan: Plan,
     state: Option<ExecState>,
@@ -263,9 +276,11 @@ impl Pull {
         if let (Some(t), Some(span)) = (obs.trace.as_mut(), open_span) {
             t.end(span);
         }
+        let reads = read_set(&stmt, |i| Some(catalog.indexes.get(i)?.meta.doc.clone()));
         Ok(Pull {
             txn,
             catalog,
+            reads,
             stmt,
             plan,
             state: Some(ExecState::default()),
@@ -300,7 +315,9 @@ impl Pull {
             return Err(DbError::Cancelled);
         }
         let pull_begin = self.obs.trace.as_ref().map(|t| t.now_ns());
-        let view = query_view(vas, &self.catalog);
+        // Only the documents the statement reads, so a pull costs the
+        // same beside any number of other documents.
+        let view = query_view(vas, &self.catalog, self.reads.as_deref());
         let state = self.state.take().unwrap_or_default();
         let mut ex = Executor::with_state(&view, &self.stmt, db.cfg.construct_mode, state);
         let q = &db.obs.query;
@@ -521,7 +538,43 @@ impl std::fmt::Debug for QueryCursor {
 mod tests {
     use sedna_sync::Arc;
 
+    use super::query_view;
     use crate::{Database, DbConfig, StreamOutcome};
+
+    #[test]
+    fn a_pull_views_only_the_documents_its_statement_reads() {
+        let dir = std::env::temp_dir().join(format!("sedna-read-set-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::create(&dir, DbConfig::small()).unwrap();
+        let mut s = db.session();
+        for d in 0..20 {
+            s.execute(&format!("CREATE DOCUMENT 'other{d}'")).unwrap();
+            s.load_xml(&format!("other{d}"), "<r/>").unwrap();
+        }
+        s.execute("CREATE DOCUMENT 'a'").unwrap();
+        s.load_xml("a", "<r><x>1</x></r>").unwrap();
+        s.execute("CREATE INDEX 'ia' ON doc('a')/r BY x AS xs:string")
+            .unwrap();
+        let mut view = |query: &str| {
+            let StreamOutcome::Cursor(c) = s.execute_stream(query).unwrap() else {
+                panic!("an auto-commit query streams");
+            };
+            let v = query_view(&c.vas, &c.pull.catalog, c.pull.reads.as_deref());
+            (
+                v.docs.iter().map(|d| d.name.clone()).collect::<Vec<_>>(),
+                v.indexes.len(),
+            )
+        };
+        assert_eq!(view("count(doc('a')/r/x)"), (vec!["a".to_string()], 1));
+        assert_eq!(
+            view("count(index-scan('ia', '1'))"),
+            (vec!["a".to_string()], 1)
+        );
+        // A computed name may be any document.
+        assert_eq!(view("count(doc(concat('a', ''))/r/x)").0.len(), 21);
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn a_snapshot_is_the_published_root_and_a_commit_replaces_only_its_entries() {

@@ -375,3 +375,30 @@ fn a_failing_query_leaves_its_update_transaction_open() {
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A `doc()` whose argument is computed may read any document, so it
+/// answers the same in auto-commit, in a read-only transaction and in an
+/// update transaction, which locks every document for it.
+#[test]
+fn a_computed_document_name_answers_the_same_in_every_mode() {
+    let (db, dir) = setup("computed-doc");
+    let mut s = db.session();
+    s.execute("CREATE DOCUMENT 'ab'").unwrap();
+    s.load_xml("ab", "<r><x>1</x></r>").unwrap();
+    let items = |s: &mut sedna::Session| match s.execute_stream("doc(concat('a','b'))/r/x").unwrap()
+    {
+        StreamOutcome::Cursor(cur) => cur.map(|r| r.unwrap()).collect::<Vec<_>>(),
+        StreamOutcome::Items(items) => items,
+        other => panic!("a query returns items, got {other:?}"),
+    };
+    assert_eq!(items(&mut s), ["<x>1</x>"], "auto-commit");
+    s.begin_read_only().unwrap();
+    assert_eq!(items(&mut s), ["<x>1</x>"], "read-only transaction");
+    s.commit().unwrap();
+    s.begin_update().unwrap();
+    assert_eq!(items(&mut s), ["<x>1</x>"], "update transaction");
+    s.commit().unwrap();
+    drop(s);
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -1,21 +1,26 @@
 //! Per-connection state for the readiness-loop server.
 //!
 //! A connection's life is split between two threads. The **event
-//! thread** owns the socket, the inbound byte buffer, and the queue of
-//! parsed-but-unserved frames; it never executes a request. A **worker**
-//! borrows the request-visible half — the wire session, its database
-//! name, and the pending result ([`SessionState`]) — for the duration of
-//! one dispatched batch, then posts it back. The split is what makes
-//! pipelining possible: the event thread keeps reading and parsing
-//! frames for a connection while a worker is still executing its earlier
-//! requests.
+//! thread** owns the inbound byte buffer and the queue of
+//! parsed-but-unserved frames; it reads the socket and never executes a
+//! request. A **worker** borrows the request-visible half — the wire
+//! session, its database name, the pending result and the cancel flag
+//! ([`SessionState`]) — for the duration of one dispatched batch, writes
+//! the batch's answers, then posts the state back. Both hold the one
+//! socket through an `Arc<TcpStream>` (`&TcpStream` reads and writes), so
+//! a dispatch costs a reference count, not a descriptor. The split is
+//! what makes pipelining possible: the event thread keeps reading and
+//! parsing frames for a connection while a worker is still executing its
+//! earlier requests.
 
 use std::collections::VecDeque;
 use std::io::{self, Read};
+use std::iter;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Instant;
 
-use sedna::{CancelFlag, DbResult, QueryCursor, Session};
+use sedna::{CancelFlag, DbResult, Session};
 
 use crate::metrics::NetMetrics;
 
@@ -38,23 +43,18 @@ pub(crate) enum Fault {
     Oversize(usize),
 }
 
-/// The last query's result state.
+/// The last query's result items, fetched by `FetchNext`/`FetchBatch`.
 ///
-/// Auto-commit queries arrive as a live [`QueryCursor`]: items are
+/// An auto-commit query's is its live [`sedna::QueryCursor`]: items are
 /// pulled from the executor pipeline one fetch at a time, and the
 /// cursor's read-only transaction (with its page pins) stays open
-/// between fetches. Replacing or clearing the state drops the cursor,
-/// which releases every pin and commits its transaction — so a client
-/// that executes a new statement, closes the session, cancels, or
-/// disconnects mid-stream never leaks the snapshot.
-pub(crate) enum Pending {
-    /// No result, or the previous result is drained.
-    None,
-    /// Materialized items (queries inside an explicit transaction).
-    Buffered(VecDeque<String>),
-    /// A live streaming cursor (auto-commit queries).
-    Stream(Box<QueryCursor>),
-}
+/// between fetches. A query inside an explicit transaction arrives
+/// materialized, as a vector's iterator. Replacing or clearing the
+/// result drops the iterator, and dropping a cursor releases every pin
+/// and commits its transaction — so a client that executes a new
+/// statement, closes the session, cancels, or disconnects mid-stream
+/// never leaks the snapshot.
+pub(crate) type ItemStream = Box<dyn Iterator<Item = DbResult<String>> + Send>;
 
 /// The request-visible half of a connection: everything a worker needs
 /// to serve its frames. Travels to the worker inside a job and comes
@@ -65,76 +65,69 @@ pub(crate) struct SessionState {
     /// Name of the database the session is on (for introspection
     /// requests that need the [`sedna::Database`] handle).
     pub(crate) db_name: Option<String>,
-    /// The last query's result, streamed out via `FetchNext`/`FetchBatch`.
-    pub(crate) pending: Pending,
+    /// The last query's result; `None` when there is none left.
+    pub(crate) pending: Option<ItemStream>,
+    /// The connection's cancel flag ([`Conn::cancel`]), handed to the
+    /// session when it opens.
+    pub(crate) cancel: CancelFlag,
 }
 
-impl SessionState {
-    pub(crate) fn new() -> SessionState {
-        SessionState {
-            session: None,
-            db_name: None,
-            pending: Pending::None,
-        }
-    }
-}
+/// An `ItemBatch` frame's length counts its code byte, its item count
+/// and its `done` byte, plus a length prefix per item.
+const ITEM_BATCH_FIXED: usize = 1 + 4 + 1;
 
-/// Pulls up to `max` items from the connection's pending result,
-/// returning the batch and whether the result is now exhausted. On a
-/// mid-stream error the cursor has already finished itself (transaction
-/// committed, pins released); the pending state is cleared so later
-/// fetches see a clean end-of-result.
+/// Pulls up to `max` items from the connection's pending result, no more
+/// than fit one `ItemBatch` frame of `max_frame` bytes, returning the
+/// batch and whether the result is now exhausted. The first item is
+/// always taken; an item that would overflow a non-empty batch stays
+/// pending, first in the next one. On a mid-stream error the cursor has
+/// already finished itself (transaction committed, pins released); the
+/// result is dropped so later fetches see a clean end-of-result.
 pub(crate) fn fetch_items(
-    pending: &mut Pending,
+    pending: &mut Option<ItemStream>,
     max: usize,
+    max_frame: usize,
     m: &NetMetrics,
 ) -> DbResult<(Vec<String>, bool)> {
-    match pending {
-        Pending::None => Ok((Vec::new(), true)),
-        Pending::Buffered(items) => {
-            let n = max.min(items.len());
-            let batch: Vec<String> = items.drain(..n).collect();
-            m.items_streamed.add(batch.len() as u64);
-            let done = items.is_empty();
-            if done {
-                *pending = Pending::None;
-            }
-            Ok((batch, done))
+    let Some(mut items) = pending.take() else {
+        return Ok((Vec::new(), true));
+    };
+    let mut batch = Vec::new();
+    let mut room = max_frame.saturating_sub(ITEM_BATCH_FIXED);
+    let done = loop {
+        if batch.len() == max {
+            // A materialized result knows it is empty without a pull.
+            break items.size_hint().1 == Some(0);
         }
-        Pending::Stream(cur) => {
-            let mut batch = Vec::new();
-            let mut done = false;
-            let mut err = None;
-            while batch.len() < max {
-                match cur.next_item() {
-                    Ok(Some(item)) => batch.push(item),
-                    Ok(None) => {
-                        done = true;
-                        break;
-                    }
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            m.items_streamed.add(batch.len() as u64);
-            if let Some(e) = err {
-                *pending = Pending::None;
+        match items.next() {
+            None => break true,
+            Some(Err(e)) => {
+                m.items_streamed.add(batch.len() as u64);
                 return Err(e);
             }
-            if done {
-                *pending = Pending::None;
+            Some(Ok(item)) => {
+                let size = 4 + item.len();
+                if size > room && !batch.is_empty() {
+                    items = Box::new(iter::once(Ok(item)).chain(items));
+                    break false;
+                }
+                room = room.saturating_sub(size);
+                batch.push(item);
             }
-            Ok((batch, done))
         }
+    };
+    m.items_streamed.add(batch.len() as u64);
+    if !done {
+        *pending = Some(items);
     }
+    Ok((batch, done))
 }
 
 /// Event-thread-side state of one connection.
 pub(crate) struct Conn {
-    /// The socket (non-blocking; workers write through a clone).
-    pub(crate) stream: TcpStream,
+    /// The socket (non-blocking), shared with the worker serving the
+    /// connection's batch.
+    pub(crate) stream: Arc<TcpStream>,
     /// Unparsed inbound bytes.
     pub(crate) buf: Vec<u8>,
     /// Complete frames awaiting dispatch to a worker.
@@ -163,16 +156,22 @@ pub(crate) struct Conn {
 
 impl Conn {
     pub(crate) fn new(stream: TcpStream) -> Conn {
+        let cancel = CancelFlag::new();
         Conn {
-            stream,
+            stream: Arc::new(stream),
             buf: Vec::new(),
             queue: VecDeque::new(),
             busy: false,
             armed: true,
             closing: false,
             fault: None,
-            state: Some(SessionState::new()),
-            cancel: CancelFlag::new(),
+            state: Some(SessionState {
+                session: None,
+                db_name: None,
+                pending: None,
+                cancel: cancel.clone(),
+            }),
+            cancel,
             last_activity: Instant::now(),
             frame_started: None,
         }
@@ -185,7 +184,7 @@ impl Conn {
     pub(crate) fn read_ready(&mut self) -> bool {
         let mut chunk = [0u8; 8192];
         loop {
-            match self.stream.read(&mut chunk) {
+            match (&*self.stream).read(&mut chunk) {
                 Ok(0) => return false,
                 Ok(n) => {
                     if self.buf.is_empty() {

@@ -9,10 +9,21 @@
 //! [`crate::poller`]), parses frames incrementally per
 //! connection, and hands complete requests to `workers` **worker
 //! threads** that execute them against the wire session
-//! ([`sedna::Session`]) and write the responses. N idle connections cost
-//! O(N) kernel registrations and zero per-tick syscalls — there is no
+//! ([`sedna::Session`]). N idle connections cost O(N) kernel
+//! registrations and zero per-tick syscalls — there is no
 //! per-connection read-timeout poll, so the server's thread count is
 //! independent of its connection count.
+//!
+//! A request becomes its answer in two steps. `respond` maps one decoded
+//! request to a [`Response`] and whether the connection closes after it;
+//! it runs the request against the session and touches no socket. `send`
+//! is the one place a response is encoded and written, and the one place
+//! the frame cap is enforced on output: a response larger than
+//! [`NetConfig::max_frame`] goes out as a `protocol` error instead. The
+//! worker writes its answers through `send`, and so do the event thread's
+//! courtesy notices (drain, idle timeout, stalled frame) and the
+//! accept-time `overloaded` refusal. A connection's socket is one shared
+//! `Arc<TcpStream>`: the event thread reads it, a worker writes it.
 //!
 //! Because the event thread keeps reading while a worker executes, a
 //! client may **pipeline** up to `pipeline_depth` requests; responses
@@ -46,9 +57,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use sedna::{chrome_trace_json, CancelFlag, DbError, DbResult, Governor, StreamOutcome};
+use sedna::{chrome_trace_json, DbError, DbResult, Governor, StreamOutcome};
 
-use crate::conn::{fetch_items, Conn, Fault, Frame, Pending, SessionState};
+use crate::conn::{fetch_items, Conn, Fault, Frame, ItemStream, SessionState};
 use crate::metrics::NetMetrics;
 use crate::poller::{self, Poller, Waker};
 use crate::protocol::{
@@ -127,9 +138,8 @@ struct Job {
     /// Framing violation to report (and close on) after the frames.
     fault: Option<Fault>,
     state: SessionState,
-    /// Clone of the connection's socket for writing responses.
-    stream: TcpStream,
-    cancel: CancelFlag,
+    /// The connection's socket, shared with the event thread.
+    stream: Arc<TcpStream>,
 }
 
 /// A worker's completion notice, returning the session state.
@@ -335,12 +345,16 @@ impl EventLoop {
             }
             let m = &self.shared.metrics;
             m.connections_opened.inc();
-            if self.conns.len() >= self.shared.cfg.max_conns.max(1) {
-                reject_overloaded(&self.shared, stream);
-                continue;
-            }
             let _ = stream.set_nodelay(true);
             if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            if self.conns.len() >= self.shared.cfg.max_conns.max(1) {
+                m.connections_rejected.inc();
+                let overloaded =
+                    error("overloaded", "server connection limit reached; retry later");
+                // A fresh socket's send buffer takes the whole refusal.
+                let _ = send(&self.shared, &stream, &overloaded, Duration::ZERO);
                 continue;
             }
             let token = self.next_token;
@@ -455,22 +469,13 @@ impl EventLoop {
             let Some(state) = conn.state.take() else {
                 return true;
             };
-            let stream = match conn.stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => {
-                    conn.state = Some(state);
-                    self.teardown(token);
-                    return false;
-                }
-            };
             conn.busy = true;
             Job {
                 token,
                 frames,
                 fault,
                 state,
-                stream,
-                cancel: conn.cancel.clone(),
+                stream: Arc::clone(&conn.stream),
             }
         };
         self.shared.metrics.dispatches.inc();
@@ -501,8 +506,7 @@ impl EventLoop {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             // Drain honored at the batch boundary: the batch's responses
             // are written; anything still queued is refused.
-            self.notify(token, &Response::ShuttingDown);
-            self.teardown(token);
+            self.close_with(token, &Response::ShuttingDown);
             return;
         }
         self.pump(token);
@@ -517,8 +521,7 @@ impl EventLoop {
             .map(|(t, _)| *t)
             .collect();
         for token in idle {
-            self.notify(token, &Response::ShuttingDown);
-            self.teardown(token);
+            self.close_with(token, &Response::ShuttingDown);
         }
     }
 
@@ -526,67 +529,31 @@ impl EventLoop {
     /// request deadline.
     fn sweep_timeouts(&mut self) {
         let cfg = &self.shared.cfg;
-        let mut idle = Vec::new();
-        let mut stalled = Vec::new();
+        let mut expired = Vec::new();
         for (token, conn) in &self.conns {
             if conn.busy || conn.closing || !conn.queue.is_empty() {
                 continue;
             }
             if let Some(started) = conn.frame_started {
                 if started.elapsed() >= cfg.request_timeout {
-                    stalled.push(*token);
+                    expired.push((*token, error("protocol", "malformed or timed-out frame")));
                 }
             } else if conn.last_activity.elapsed() >= cfg.idle_timeout {
-                idle.push(*token);
+                expired.push((*token, error("timeout", "idle timeout")));
             }
         }
-        for token in idle {
-            self.notify(
-                token,
-                &Response::Error {
-                    kind: "timeout".into(),
-                    message: "idle timeout".into(),
-                },
-            );
-            self.teardown(token);
-        }
-        for token in stalled {
-            self.notify(
-                token,
-                &Response::Error {
-                    kind: "protocol".into(),
-                    message: "malformed or timed-out frame".into(),
-                },
-            );
-            self.teardown(token);
+        for (token, notice) in expired {
+            self.close_with(token, &notice);
         }
     }
 
-    /// Best-effort, non-blocking notification from the event thread
-    /// (only used on paths where the connection closes right after, so a
-    /// full send buffer just loses a courtesy message).
-    fn notify(&mut self, token: u64, resp: &Response) {
-        let m = &self.shared.metrics;
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if matches!(resp, Response::Error { .. }) {
-            m.errors.inc();
+    /// Tells a connection why it is closing, then closes it. The notice
+    /// is a courtesy: it never waits for a full send buffer.
+    fn close_with(&mut self, token: u64, notice: &Response) {
+        if let Some(conn) = self.conns.get(&token) {
+            let _ = send(&self.shared, &conn.stream, notice, Duration::ZERO);
         }
-        let mut buf = Vec::new();
-        if resp.write_to(&mut buf).is_err() {
-            return;
-        }
-        let mut off = 0usize;
-        while off < buf.len() {
-            match conn.stream.write(&buf[off..]) {
-                Ok(0) => break,
-                Ok(n) => off += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-        m.bytes_out.add(off as u64);
+        self.teardown(token);
     }
 
     /// Removes a connection: deregisters the socket, accounts the
@@ -612,19 +579,6 @@ impl EventLoop {
     }
 }
 
-fn reject_overloaded(shared: &Shared, mut stream: TcpStream) {
-    shared.metrics.connections_rejected.inc();
-    shared.metrics.errors.inc();
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let resp = Response::Error {
-        kind: "overloaded".into(),
-        message: "server connection limit reached; retry later".into(),
-    };
-    if let Ok(n) = resp.write_to(&mut stream) {
-        shared.metrics.bytes_out.add(n as u64);
-    }
-}
-
 fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>, done_tx: &Sender<Done>, waker: &Waker) {
     loop {
         // The guard drops at the end of this statement, so a worker
@@ -637,150 +591,155 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>, done_tx: &Sender<Done
             Ok(guard) => guard.recv(),
             Err(poisoned) => poisoned.into_inner().recv(),
         };
-        let mut job = match next {
-            Ok(job) => job,
-            Err(_) => break,
+        let Ok(job) = next else {
+            break;
         };
-        let close = serve_batch(shared, waker, &mut job);
-        let _ = done_tx.send(Done {
-            token: job.token,
-            state: job.state,
-            close,
-        });
+        let _ = done_tx.send(serve_batch(shared, job));
+        // Also starts the drain promptly after a `Shutdown` request.
         waker.wake();
     }
 }
 
-/// Serves one dispatched batch in order. Returns whether the connection
-/// should close; once a request closes the connection, the rest of the
-/// batch is dropped (the client's pipelined successors die with it, as
-/// they would have on a serial connection).
-fn serve_batch(shared: &Shared, waker: &Waker, job: &mut Job) -> bool {
-    let m = &shared.metrics;
-    let timeout = shared.cfg.request_timeout;
-    let frames: Vec<Frame> = job.frames.drain(..).collect();
+/// Serves one dispatched batch in order: each frame's answer is written
+/// before the next frame is served. A frame that does not decode, and
+/// the batch's trailing framing fault, are answered with a `protocol`
+/// error and close the connection. Once a request closes the connection,
+/// the rest of the batch is dropped (the client's pipelined successors
+/// die with it, as they would have on a serial connection).
+fn serve_batch(shared: &Shared, job: Job) -> Done {
+    let Job {
+        token,
+        frames,
+        fault,
+        mut state,
+        stream,
+    } = job;
+    let fault = fault.map(|f| match f {
+        Fault::Malformed => "malformed frame".to_string(),
+        Fault::Oversize(len) => format!(
+            "frame of {len} bytes exceeds the {}-byte limit",
+            shared.cfg.max_frame
+        ),
+    });
+    let requests = frames
+        .into_iter()
+        .map(|f| Request::decode(f.code, &f.body).map_err(|e| e.to_string()))
+        .chain(fault.map(Err));
     let mut close = false;
-    for frame in frames {
+    for request in requests {
+        let span = shared.metrics.request_ns.span();
+        let (resp, last) = match request {
+            Ok(req) => respond(req, &mut state, shared),
+            Err(message) => (error("protocol", message), true),
+        };
+        match send(shared, &stream, &resp, shared.cfg.request_timeout) {
+            Ok(true) => {}
+            // The answer did not fit a frame; what remains of the
+            // result it came from is dropped with it.
+            Ok(false) => state.pending = None,
+            Err(_) => close = true,
+        }
+        drop(span);
+        close |= last;
         if close {
             break;
         }
-        let span = m.request_ns.span();
-        let outcome = match Request::decode(frame.code, &frame.body) {
-            Ok(req) => handle_request(job, req, shared, waker),
-            Err(e) => send(
-                &mut job.stream,
-                m,
-                &Response::Error {
-                    kind: "protocol".into(),
-                    message: e.to_string(),
-                },
-                timeout,
-            )
-            .map(|()| true),
-        };
-        drop(span);
-        close = outcome.unwrap_or(true);
     }
-    if !close {
-        if let Some(fault) = job.fault.take() {
-            let resp = match fault {
-                Fault::Malformed => Response::Error {
-                    kind: "protocol".into(),
-                    message: "malformed frame".into(),
-                },
-                Fault::Oversize(len) => Response::Error {
-                    kind: "protocol".into(),
-                    message: format!(
-                        "frame of {len} bytes exceeds the {}-byte limit",
-                        shared.cfg.max_frame
-                    ),
-                },
-            };
-            let _ = send(&mut job.stream, m, &resp, timeout);
-            close = true;
-        }
+    Done {
+        token,
+        state,
+        close,
     }
-    close
 }
 
 /// Gates a session-open on protocol version and credentials. Returns the
 /// refusal to send (the connection closes) or `None` to proceed.
 fn session_gate(version: u8, user: &str, password: &str, shared: &Shared) -> Option<Response> {
     if version != PROTOCOL_VERSION {
-        return Some(Response::Error {
-            kind: "protocol".into(),
-            message: format!(
-                "protocol version {version} unsupported (server speaks {PROTOCOL_VERSION})"
-            ),
-        });
+        return Some(error(
+            "protocol",
+            format!("protocol version {version} unsupported (server speaks {PROTOCOL_VERSION})"),
+        ));
     }
     let creds = shared.cfg.auth.as_ref()?;
-    if user != creds.user || password != creds.password {
+    if !all_equal(&[(user, &creds.user), (password, &creds.password)]) {
         shared.metrics.auth_failures.inc();
-        return Some(Response::Error {
-            kind: "auth".into(),
-            message: "authentication failed".into(),
-        });
+        return Some(error("auth", "authentication failed"));
     }
     None
 }
 
-/// Serves one decoded request. `Ok(true)` means close the connection
-/// afterwards; `Err` means the response could not be written (peer gone).
-fn handle_request(job: &mut Job, req: Request, shared: &Shared, waker: &Waker) -> io::Result<bool> {
+/// Whether every `(given, expected)` pair is equal. One fold visits
+/// every byte pair of every field without exiting early, so the time
+/// taken depends on the lengths, never on where the first differing
+/// byte is.
+fn all_equal(pairs: &[(&str, &str)]) -> bool {
+    let diff = pairs.iter().fold(0u8, |diff, (given, expected)| {
+        let (g, e) = (given.as_bytes(), expected.as_bytes());
+        let diff = diff | u8::from(g.len() != e.len());
+        g.iter().zip(e).fold(diff, |d, (x, y)| d | (x ^ y))
+    });
+    diff == 0
+}
+
+/// Maps one decoded request to its answer and whether the connection
+/// closes after it. Runs the request against the connection's session
+/// and the governor; the caller writes the answer.
+fn respond(req: Request, state: &mut SessionState, shared: &Shared) -> (Response, bool) {
     let m = &shared.metrics;
-    let timeout = shared.cfg.request_timeout;
-    let Job {
-        state,
-        stream,
-        cancel,
-        ..
-    } = job;
-    match req {
+    let as_of = match &req {
+        Request::AsOf { ts, .. } => Some(*ts),
+        _ => None,
+    };
+    let answer = match req {
         Request::StartSession {
             version,
             database,
             user,
             password,
+        }
+        | Request::AsOf {
+            version,
+            database,
+            user,
+            password,
+            ..
         } => {
             if let Some(refusal) = session_gate(version, &user, &password, shared) {
-                send(stream, m, &refusal, timeout)?;
-                return Ok(true);
+                return (refusal, true);
             }
             if state.session.is_some() {
-                send(
-                    stream,
-                    m,
-                    &Response::Error {
-                        kind: "conflict".into(),
-                        message: "session already started on this connection".into(),
-                    },
-                    timeout,
-                )?;
-                return Ok(false);
+                return (
+                    error("conflict", "session already started on this connection"),
+                    false,
+                );
             }
-            match shared.governor.try_connect(&database) {
-                Ok(mut sess) => {
-                    // The connection's cancel flag reaches the executor
-                    // through the session, so a parsed Cancel aborts the
-                    // running statement.
-                    sess.set_cancel_flag(cancel.clone());
-                    state.session = Some(sess);
-                    state.db_name = Some(database);
-                    m.sessions_opened.inc();
-                    m.sessions_active.add(1);
-                    send(stream, m, &Response::SessionStarted, timeout)?;
-                    Ok(false)
-                }
-                Err(e) => {
+            let opened = match as_of {
+                None => shared.governor.try_connect(&database).inspect_err(|e| {
+                    // Only the database's session limit turns a
+                    // connection away.
                     if matches!(e, DbError::Conflict(_)) {
-                        // The database's session limit turned us away.
                         m.connections_rejected.inc();
                     }
-                    send_db_error(stream, m, &e, timeout)?;
-                    Ok(true)
-                }
-            }
+                }),
+                Some(ts) => shared
+                    .governor
+                    .database(&database)
+                    .and_then(|db| db.session_as_of(ts)),
+            };
+            let mut sess = match opened {
+                Ok(sess) => sess,
+                Err(e) => return (db_error(&e), true),
+            };
+            // The connection's cancel flag reaches the executor through
+            // the session, so a parsed Cancel aborts the running
+            // statement.
+            sess.set_cancel_flag(state.cancel.clone());
+            state.session = Some(sess);
+            state.db_name = Some(database);
+            m.sessions_opened.inc();
+            m.sessions_active.add(1);
+            Ok(Response::SessionStarted)
         }
         Request::CloseSession => {
             if state.session.take().is_some() {
@@ -788,9 +747,8 @@ fn handle_request(job: &mut Job, req: Request, shared: &Shared, waker: &Waker) -
                 m.sessions_closed.inc();
             }
             // Drops any live cursor: pins released, transaction committed.
-            state.pending = Pending::None;
-            send(stream, m, &Response::SessionClosed, timeout)?;
-            Ok(true)
+            state.pending = None;
+            return (Response::SessionClosed, true);
         }
         Request::Cancel => {
             // Served strictly in order, so every request queued before
@@ -800,242 +758,169 @@ fn handle_request(job: &mut Job, req: Request, shared: &Shared, waker: &Waker) -
             // releases its pins). The flag itself was raised out-of-band
             // when the frame was parsed; clearing it re-arms the
             // connection for later statements.
-            state.pending = Pending::None;
-            cancel.clear();
-            send(stream, m, &Response::Cancelled, timeout)?;
-            Ok(false)
+            state.pending = None;
+            state.cancel.clear();
+            Ok(Response::Cancelled)
         }
-        Request::Ping => {
-            send(stream, m, &Response::Pong, timeout)?;
-            Ok(false)
-        }
-        Request::GetMetrics => {
-            let text = shared.governor.render_prometheus();
-            send(stream, m, &Response::Metrics(text), timeout)?;
-            Ok(false)
-        }
+        Request::Ping => Ok(Response::Pong),
+        Request::GetMetrics => Ok(Response::Metrics(shared.governor.render_prometheus())),
         Request::Shutdown => {
+            // The worker wakes the event thread after this batch, which
+            // ends here, so the drain starts right away.
             shared.shutdown.store(true, Ordering::SeqCst);
-            // Wake the event thread so the drain starts immediately.
-            waker.wake();
-            send(stream, m, &Response::ShuttingDown, timeout)?;
-            Ok(true)
-        }
-        Request::AsOf {
-            version,
-            database,
-            ts,
-            user,
-            password,
-        } => {
-            if let Some(refusal) = session_gate(version, &user, &password, shared) {
-                send(stream, m, &refusal, timeout)?;
-                return Ok(true);
-            }
-            if state.session.is_some() {
-                send(
-                    stream,
-                    m,
-                    &Response::Error {
-                        kind: "conflict".into(),
-                        message: "session already started on this connection".into(),
-                    },
-                    timeout,
-                )?;
-                return Ok(false);
-            }
-            match shared
-                .governor
-                .database(&database)
-                .and_then(|db| db.session_as_of(ts))
-            {
-                Ok(mut sess) => {
-                    sess.set_cancel_flag(cancel.clone());
-                    state.session = Some(sess);
-                    state.db_name = Some(database);
-                    m.sessions_opened.inc();
-                    m.sessions_active.add(1);
-                    send(stream, m, &Response::SessionStarted, timeout)?;
-                    Ok(false)
-                }
-                Err(e) => {
-                    send_db_error(stream, m, &e, timeout)?;
-                    Ok(true)
-                }
-            }
+            return (Response::ShuttingDown, true);
         }
         // Admin requests: sessionless, so a tool connection can manage
         // forks without opening a wire session first.
         Request::Fork { parent, name } => {
-            match shared.governor.fork_database(&parent, &name) {
-                Ok(fork) => {
-                    let ts = fork.fork_point().unwrap_or(0);
-                    send(stream, m, &Response::ForkOk { ts }, timeout)?;
-                }
-                Err(e) => send_db_error(stream, m, &e, timeout)?,
-            }
-            Ok(false)
+            shared
+                .governor
+                .fork_database(&parent, &name)
+                .map(|fork| Response::ForkOk {
+                    ts: fork.fork_point().unwrap_or(0),
+                })
         }
-        Request::DropFork { name } => {
-            let result = shared.governor.database(&name).and_then(|db| {
+        Request::DropFork { name } => shared
+            .governor
+            .database(&name)
+            .and_then(|db| {
                 if !db.is_fork() {
                     return Err(DbError::Conflict(format!(
                         "database '{name}' is not a fork; use DropDatabase"
                     )));
                 }
                 shared.governor.drop_database(&name)
-            });
-            match result {
-                Ok(()) => send(stream, m, &Response::ForkDropped, timeout)?,
-                Err(e) => send_db_error(stream, m, &e, timeout)?,
+            })
+            .map(|()| Response::ForkDropped),
+        Request::DropDatabase { name } => shared
+            .governor
+            .drop_database(&name)
+            .map(|()| Response::DatabaseDropped),
+        other => match state.session.as_mut() {
+            None => Ok(error("conflict", "no session started on this connection")),
+            Some(sess) => {
+                let name = state.db_name.as_deref();
+                session_request(other, sess, &mut state.pending, name, shared)
             }
-            Ok(false)
+        },
+    };
+    (answer.unwrap_or_else(|e| db_error(&e)), false)
+}
+
+/// Answers a request that runs on the connection's session.
+fn session_request(
+    req: Request,
+    sess: &mut sedna::Session,
+    pending: &mut Option<ItemStream>,
+    db_name: Option<&str>,
+    shared: &Shared,
+) -> DbResult<Response> {
+    let m = &shared.metrics;
+    match req {
+        Request::Begin { read_only } => if read_only {
+            sess.begin_read_only()
+        } else {
+            sess.begin_update()
         }
-        Request::DropDatabase { name } => {
-            match shared.governor.drop_database(&name) {
-                Ok(()) => send(stream, m, &Response::DatabaseDropped, timeout)?,
-                Err(e) => send_db_error(stream, m, &e, timeout)?,
-            }
-            Ok(false)
+        .map(|_| Response::TxnOk),
+        Request::Commit => sess.commit().map(|_| Response::TxnOk),
+        Request::Rollback => sess.rollback().map(|_| Response::TxnOk),
+        Request::Execute { stmt, trace } => {
+            // The force flag lives only for this one statement.
+            sess.set_trace_forced(trace);
+            let executed = sess.execute_stream(&stmt);
+            sess.set_trace_forced(false);
+            Ok(match executed? {
+                StreamOutcome::Items(items) => {
+                    let n = items.len() as u64;
+                    *pending = Some(Box::new(items.into_iter().map(Ok)));
+                    Response::QueryOk(n)
+                }
+                StreamOutcome::Cursor(cur) => {
+                    // A live cursor: nothing has executed yet, so the
+                    // cardinality is unknown — the sentinel tells the
+                    // client to fetch until end-of-result.
+                    *pending = Some(cur);
+                    Response::QueryOk(u64::MAX)
+                }
+                StreamOutcome::Updated(n) => {
+                    *pending = None;
+                    Response::Updated(n as u64)
+                }
+                StreamOutcome::Done => {
+                    *pending = None;
+                    Response::Done
+                }
+            })
         }
-        other => {
-            let Some(sess) = state.session.as_mut() else {
-                send(
-                    stream,
-                    m,
-                    &Response::Error {
-                        kind: "conflict".into(),
-                        message: "no session started on this connection".into(),
-                    },
-                    timeout,
-                )?;
-                return Ok(false);
-            };
-            let resp = match other {
-                Request::Begin { read_only } => if read_only {
-                    sess.begin_read_only()
-                } else {
-                    sess.begin_update()
-                }
-                .map(|_| Response::TxnOk),
-                Request::Commit => sess.commit().map(|_| Response::TxnOk),
-                Request::Rollback => sess.rollback().map(|_| Response::TxnOk),
-                Request::Execute { stmt, trace } => {
-                    // The force flag lives only for this one statement.
-                    sess.set_trace_forced(trace);
-                    let executed = sess.execute_stream(&stmt);
-                    sess.set_trace_forced(false);
-                    match executed {
-                        Ok(StreamOutcome::Items(items)) => {
-                            let n = items.len() as u64;
-                            state.pending = Pending::Buffered(items.into_iter().collect());
-                            Ok(Response::QueryOk(n))
-                        }
-                        Ok(StreamOutcome::Cursor(cur)) => {
-                            // A live cursor: nothing has executed yet, so the
-                            // cardinality is unknown — the sentinel tells the
-                            // client to fetch until end-of-result.
-                            state.pending = Pending::Stream(cur);
-                            Ok(Response::QueryOk(u64::MAX))
-                        }
-                        Ok(StreamOutcome::Updated(n)) => {
-                            state.pending = Pending::None;
-                            Ok(Response::Updated(n as u64))
-                        }
-                        Ok(StreamOutcome::Done) => {
-                            state.pending = Pending::None;
-                            Ok(Response::Done)
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
-                Request::FetchNext => match fetch_items(&mut state.pending, 1, m) {
-                    Ok((mut batch, _)) => match batch.pop() {
-                        Some(item) => Ok(Response::Item(item)),
-                        None => Ok(Response::ResultEnd),
-                    },
-                    Err(e) => Err(e),
-                },
-                Request::FetchBatch { max } => {
-                    if max == 0 {
-                        Ok(Response::Error {
-                            kind: "protocol".into(),
-                            message: "fetch batch size must be at least 1".into(),
-                        })
-                    } else {
-                        fetch_items(&mut state.pending, max as usize, m)
-                            .map(|(items, done)| Response::ItemBatch { items, done })
-                    }
-                }
-                Request::LoadXml { doc, xml } => sess.load_xml(&doc, &xml).map(Response::Loaded),
-                Request::Activity => database_of(state.db_name.as_deref(), shared).map(|db| {
-                    let report = db.activity();
-                    Response::ActivityReply {
-                        sessions: report
-                            .sessions
-                            .into_iter()
-                            .map(|s| ActivityRow {
-                                session_id: s.session_id,
-                                statement: s.statement,
-                                statement_age_ms: s.statement_age.as_millis() as u64,
-                                txn: s.txn.as_str().to_string(),
-                                items_streamed: s.items_streamed,
-                            })
-                            .collect(),
-                        pinned_pages: report.pinned_pages,
-                    }
-                }),
-                Request::SlowLog => database_of(state.db_name.as_deref(), shared).map(|db| {
-                    Response::SlowLogReply(
-                        db.slow_log()
-                            .into_iter()
-                            .map(|e| SlowLogRow {
-                                statement: e.statement,
-                                total_ns: e.total_ns,
-                                trace_id: e.trace_id,
-                            })
-                            .collect(),
-                    )
-                }),
-                Request::GetTrace { trace_id } => {
-                    let id = if trace_id == 0 {
-                        sess.last_trace_id()
-                    } else {
-                        trace_id
-                    };
-                    database_of(state.db_name.as_deref(), shared).and_then(|db| {
-                        db.get_trace(id)
-                            .map(|events| Response::Trace {
-                                trace_id: id,
-                                json: chrome_trace_json(&events),
-                            })
-                            .ok_or_else(|| {
-                                DbError::NotFound(if trace_id == 0 {
-                                    "no trace published by this session yet".into()
-                                } else {
-                                    format!("trace {id} (evicted from the ring, or never kept)")
-                                })
-                            })
+        Request::FetchNext => {
+            let (mut batch, _) = fetch_items(pending, 1, shared.cfg.max_frame, m)?;
+            Ok(batch.pop().map_or(Response::ResultEnd, Response::Item))
+        }
+        Request::FetchBatch { max: 0 } => {
+            Ok(error("protocol", "fetch batch size must be at least 1"))
+        }
+        Request::FetchBatch { max } => fetch_items(pending, max as usize, shared.cfg.max_frame, m)
+            .map(|(items, done)| Response::ItemBatch { items, done }),
+        Request::LoadXml { doc, xml } => sess.load_xml(&doc, &xml).map(Response::Loaded),
+        Request::Activity => database_of(db_name, shared).map(|db| {
+            let report = db.activity();
+            Response::ActivityReply {
+                sessions: report
+                    .sessions
+                    .into_iter()
+                    .map(|s| ActivityRow {
+                        session_id: s.session_id,
+                        statement: s.statement,
+                        statement_age_ms: s.statement_age.as_millis() as u64,
+                        txn: s.txn.as_str().to_string(),
+                        items_streamed: s.items_streamed,
                     })
-                }
-                Request::ExplainAnalyze { stmt } => {
-                    // Replaces any pending result, exactly like Execute.
-                    state.pending = Pending::None;
-                    sess.explain_analyze(&stmt).map(Response::Explain)
-                }
-                // Every sessionless request was handled above; this arm
-                // is structurally unreachable but kept total so the
-                // match needs no panic.
-                _ => Err(DbError::Conflict(
-                    "request cannot be served on a session connection".into(),
-                )),
-            };
-            match resp {
-                Ok(r) => send(stream, m, &r, timeout)?,
-                Err(e) => send_db_error(stream, m, &e, timeout)?,
+                    .collect(),
+                pinned_pages: report.pinned_pages,
             }
-            Ok(false)
+        }),
+        Request::SlowLog => database_of(db_name, shared).map(|db| {
+            Response::SlowLogReply(
+                db.slow_log()
+                    .into_iter()
+                    .map(|e| SlowLogRow {
+                        statement: e.statement,
+                        total_ns: e.total_ns,
+                        trace_id: e.trace_id,
+                    })
+                    .collect(),
+            )
+        }),
+        Request::GetTrace { trace_id } => {
+            let id = if trace_id == 0 {
+                sess.last_trace_id()
+            } else {
+                trace_id
+            };
+            let events = database_of(db_name, shared)?.get_trace(id).ok_or_else(|| {
+                DbError::NotFound(if trace_id == 0 {
+                    "no trace published by this session yet".into()
+                } else {
+                    format!("trace {id} (evicted from the ring, or never kept)")
+                })
+            })?;
+            Ok(Response::Trace {
+                trace_id: id,
+                json: chrome_trace_json(&events),
+            })
         }
+        Request::ExplainAnalyze { stmt } => {
+            // Replaces any pending result, exactly like Execute.
+            *pending = None;
+            sess.explain_analyze(&stmt).map(Response::Explain)
+        }
+        // Every sessionless request is answered by `respond`; this arm
+        // is structurally unreachable but kept total so the match needs
+        // no panic.
+        _ => Err(DbError::Conflict(
+            "request cannot be served on a session connection".into(),
+        )),
     }
 }
 
@@ -1047,45 +932,52 @@ fn database_of(name: Option<&str>, shared: &Shared) -> DbResult<sedna::Database>
     shared.governor.database(name)
 }
 
-/// Serializes `resp` and writes it to the (non-blocking) socket,
-/// waiting for writability between short writes up to `timeout`.
-fn send(
-    stream: &mut TcpStream,
-    m: &NetMetrics,
-    resp: &Response,
-    timeout: Duration,
-) -> io::Result<()> {
-    if matches!(resp, Response::Error { .. }) {
-        m.errors.inc();
+fn error(kind: &str, message: impl Into<String>) -> Response {
+    Response::Error {
+        kind: kind.into(),
+        message: message.into(),
     }
-    let mut buf = Vec::new();
-    let n = resp.write_to(&mut buf)?;
-    write_all_nb(stream, &buf, timeout)?;
-    m.bytes_out.add(n as u64);
-    Ok(())
 }
 
-fn send_db_error(
-    stream: &mut TcpStream,
-    m: &NetMetrics,
-    e: &DbError,
+fn db_error(e: &DbError) -> Response {
+    error(error_kind(e), e.to_string())
+}
+
+/// The one place a [`Response`] is encoded onto a socket. Writes the
+/// whole frame to the (non-blocking) socket, waiting for writability
+/// between short writes up to `timeout`. A response whose frame exceeds
+/// the configured cap goes out as a `protocol` error naming both sizes
+/// instead; the return value says whether `resp` itself fit.
+fn send(
+    shared: &Shared,
+    stream: &TcpStream,
+    resp: &Response,
     timeout: Duration,
-) -> io::Result<()> {
-    send(
-        stream,
-        m,
-        &Response::Error {
-            kind: error_kind(e).into(),
-            message: e.to_string(),
-        },
-        timeout,
-    )
+) -> io::Result<bool> {
+    let m = &shared.metrics;
+    let cap = shared.cfg.max_frame;
+    let mut buf = Vec::new();
+    resp.write_to(&mut buf)?;
+    // The length prefix counts the code byte and the body, not itself.
+    let len = buf.len() - 4;
+    let fits = len <= cap;
+    if !fits {
+        buf.clear();
+        let message = format!("response frame of {len} bytes exceeds the {cap}-byte limit");
+        error("protocol", message).write_to(&mut buf)?;
+    }
+    if !fits || matches!(resp, Response::Error { .. }) {
+        m.errors.inc();
+    }
+    write_all_nb(stream, &buf, timeout)?;
+    m.bytes_out.add(buf.len() as u64);
+    Ok(fits)
 }
 
 /// Writes the whole buffer to a non-blocking socket, parking on
 /// `poll(2)` writability whenever the send buffer fills, within a total
 /// deadline of `timeout`.
-fn write_all_nb(stream: &mut TcpStream, buf: &[u8], timeout: Duration) -> io::Result<()> {
+fn write_all_nb(mut stream: &TcpStream, buf: &[u8], timeout: Duration) -> io::Result<()> {
     let deadline = Instant::now() + timeout;
     let mut off = 0usize;
     while off < buf.len() {
@@ -1120,5 +1012,24 @@ pub fn error_kind(e: &DbError) -> &'static str {
         DbError::NotFound(_) => "not_found",
         DbError::Conflict(_) => "conflict",
         DbError::Cancelled => "cancelled",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::all_equal;
+
+    #[test]
+    fn credentials_compare_by_every_byte_and_the_length() {
+        assert!(all_equal(&[("admin", "admin"), ("s3cret", "s3cret")]));
+        assert!(all_equal(&[("", ""), ("", "")]));
+        // Same length, one byte off: first, last, in either field.
+        assert!(!all_equal(&[("admin", "Admin"), ("s3cret", "s3cret")]));
+        assert!(!all_equal(&[("admin", "admin"), ("s3cret", "s3creT")]));
+        // A prefix is not a match, in either direction, nor is empty.
+        assert!(!all_equal(&[("admin", "admin"), ("s3c", "s3cret")]));
+        assert!(!all_equal(&[("admin", "admin"), ("s3cret!", "s3cret")]));
+        assert!(!all_equal(&[("", "admin"), ("s3cret", "s3cret")]));
+        assert!(!all_equal(&[("admin", "admin"), ("s3cret", "")]));
     }
 }

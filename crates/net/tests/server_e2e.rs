@@ -1061,3 +1061,95 @@ fn wire_answers_are_pinned_case_by_case() {
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The server holds its own responses to `max_frame`, read here by a
+/// client with the same cap: a batch stops before the frame would
+/// overflow and the rest stays pending, and a single answer too large
+/// for any frame becomes a `protocol` error that drops the pending
+/// result and keeps the connection open.
+#[test]
+fn responses_respect_the_frame_cap() {
+    use std::net::TcpStream;
+
+    const CAP: usize = 4096;
+    let (handle, dir, governor) = start_server_cfg(
+        "frame-cap",
+        NetConfig {
+            max_frame: CAP,
+            ..NetConfig::default()
+        },
+    );
+    let expected: Vec<String> = (0..1000).map(|i| format!("<v>{i}</v>")).collect();
+    {
+        let mut s = governor.connect("db").unwrap();
+        s.execute("CREATE DOCUMENT 'd'").unwrap();
+        s.load_xml("d", &format!("<r>{}</r>", expected.concat()))
+            .unwrap();
+    }
+    let mut s = TcpStream::connect(handle.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut ask = |req: Request| {
+        req.write_to(&mut s).unwrap();
+        Response::read_from(&mut s, CAP).unwrap()
+    };
+    assert_eq!(ask(start_session_request()), Response::SessionStarted);
+
+    // Streamed (auto-commit) and materialized (in a transaction) results
+    // both arrive whole, over several capped batches.
+    for in_txn in [false, true] {
+        if in_txn {
+            assert_eq!(ask(Request::Begin { read_only: true }), Response::TxnOk);
+        }
+        let stmt = "doc('d')/r/v".to_string();
+        assert!(matches!(
+            ask(Request::Execute { stmt, trace: false }),
+            Response::QueryOk(_)
+        ));
+        let mut got = Vec::new();
+        let mut batches = 0;
+        loop {
+            let Response::ItemBatch { items, done } = ask(Request::FetchBatch { max: 1000 }) else {
+                panic!("expected a batch");
+            };
+            got.extend(items);
+            batches += 1;
+            if done {
+                break;
+            }
+        }
+        assert_eq!(got, expected, "in a transaction: {in_txn}");
+        assert!(batches > 1, "one 1000-item batch cannot fit {CAP} bytes");
+        if in_txn {
+            assert_eq!(ask(Request::Commit), Response::TxnOk);
+        }
+    }
+
+    // One item larger than the cap: a protocol error naming both sizes;
+    // the rest of the result is gone and the connection serves on.
+    let stmt = "(doc('d'), 1)".to_string();
+    assert!(matches!(
+        ask(Request::Execute { stmt, trace: false }),
+        Response::QueryOk(_)
+    ));
+    match ask(Request::FetchNext) {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, "protocol");
+            assert!(
+                message.starts_with("response frame of ")
+                    && message.ends_with(&format!("bytes exceeds the {CAP}-byte limit")),
+                "message: {message}"
+            );
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert_eq!(ask(Request::FetchNext), Response::ResultEnd);
+    // The same holds for any other answer, such as the metrics text.
+    assert!(matches!(
+        ask(Request::GetMetrics),
+        Response::Error { kind, .. } if kind == "protocol"
+    ));
+    assert_eq!(ask(Request::Ping), Response::Pong);
+
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
