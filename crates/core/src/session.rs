@@ -841,10 +841,12 @@ impl Session {
             return Ok(self.view(self.db.published(), &[]));
         };
         let root = self.db.published();
-        let names = read_set(stmt, |i| {
+        let (mut names, computed) = read_set(stmt, |i| {
             Some(writes.index(&root, i).ok()?.meta.doc.clone())
-        })
-        .unwrap_or_else(|| writes.doc_names(&root));
+        });
+        if computed {
+            names = writes.doc_names(&root);
+        }
         for name in &names {
             let id = writes.doc(&root, name)?.id;
             self.db.txns.locks.lock_document(handle.id, id, mode)?;
@@ -1079,22 +1081,6 @@ impl Drop for Session {
     }
 }
 
-/// Index names statically referenced via `index-scan`/`index-scan-between`
-/// literals (their covering documents must enter the S2PL view too).
-fn collect_index_names(stmt: &Statement) -> Vec<String> {
-    let mut names = BTreeSet::new();
-    visit_statement(stmt, &mut |e| {
-        if let Expr::FnCall { name, args, .. } = e {
-            if name == "index-scan" || name == "index-scan-between" {
-                if let Some(Expr::Literal(Atom::String(n))) = args.first() {
-                    names.insert(n.clone());
-                }
-            }
-        }
-    });
-    names.into_iter().collect()
-}
-
 /// Calls `f` on every expression of the statement, subexpressions
 /// included (the walk itself is [`Expr::visit`]).
 fn visit_statement<'a>(stmt: &'a Statement, f: &mut impl FnMut(&'a Expr)) {
@@ -1122,59 +1108,66 @@ fn visit_statement<'a>(stmt: &'a Statement, f: &mut impl FnMut(&'a Expr)) {
 }
 
 /// The documents a statement reads: those it names and those of the
-/// indexes it scans, looked up by `index_doc`. `None` when a `doc()`
-/// argument or a scanned index's name is computed, so the statement may
-/// read any document.
+/// indexes it scans, looked up by `index_doc`; and whether it may read
+/// any other, because a `doc()` argument or a scanned index's name is
+/// computed.
 pub(crate) fn read_set(
     stmt: &Statement,
     index_doc: impl Fn(&str) -> Option<String>,
-) -> Option<Vec<String>> {
-    let mut computed = false;
-    visit_statement(stmt, &mut |e| {
-        if let Expr::FnCall { name, args, .. } = e {
-            let by_name = ["doc", "document", "index-scan", "index-scan-between"];
-            computed |= by_name.contains(&name.as_str())
-                && !matches!(args.first(), Some(Expr::Literal(Atom::String(_))));
-        }
-    });
-    if computed {
-        return None;
-    }
-    let mut names = collect_doc_names(stmt);
-    for doc in collect_index_names(stmt)
-        .iter()
-        .filter_map(|i| index_doc(i))
-    {
-        if !names.contains(&doc) {
-            names.push(doc);
+) -> (Vec<String>, bool) {
+    let (mut docs, indexes, computed) = statement_names(stmt);
+    for doc in indexes.iter().filter_map(|i| index_doc(i)) {
+        if !docs.contains(&doc) {
+            docs.push(doc);
         }
     }
-    Some(names)
+    (docs, computed)
 }
 
 /// Document names statically referenced by a statement (`doc('name')`
 /// path starts and literal `doc()` calls), sorted.
 pub(crate) fn collect_doc_names(stmt: &Statement) -> Vec<String> {
-    let mut names = BTreeSet::new();
+    statement_names(stmt).0
+}
+
+/// The names a statement reads by, from one walk: its documents (as
+/// [`collect_doc_names`]), the indexes its `index-scan` calls name, both
+/// sorted, and whether any such name is computed.
+fn statement_names(stmt: &Statement) -> (Vec<String>, Vec<String>, bool) {
+    let mut docs = BTreeSet::new();
+    let mut indexes = BTreeSet::new();
+    let mut computed = false;
     visit_statement(stmt, &mut |e| match e {
         Expr::Path {
             start: PathStart::Doc(d),
             ..
         }
         | Expr::StructuralPath { doc: d, .. } => {
-            names.insert(d.clone());
+            docs.insert(d.clone());
         }
-        Expr::FnCall { name, args, .. } if name == "doc" || name == "document" => {
-            if let Some(Expr::Literal(Atom::String(d))) = args.first() {
-                names.insert(d.clone());
+        Expr::FnCall { name, args, .. } => {
+            let names = match name.as_str() {
+                "doc" | "document" => &mut docs,
+                "index-scan" | "index-scan-between" => &mut indexes,
+                _ => return,
+            };
+            match args.first() {
+                Some(Expr::Literal(Atom::String(n))) => {
+                    names.insert(n.clone());
+                }
+                _ => computed = true,
             }
         }
         _ => {}
     });
     if let StatementKind::Ddl(DdlStmt::CreateIndex { doc, .. }) = &stmt.kind {
-        names.insert(doc.clone());
+        docs.insert(doc.clone());
     }
-    names.into_iter().collect()
+    (
+        docs.into_iter().collect(),
+        indexes.into_iter().collect(),
+        computed,
+    )
 }
 
 /// Locks catalog name `key` (`doc:…` / `index:…`) exclusively until the

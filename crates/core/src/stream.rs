@@ -45,7 +45,7 @@ use crate::database::DbInner;
 use crate::error::{DbError, DbResult};
 use crate::introspect::{SessionTrack, SlowQueryEntry};
 use crate::metrics::QueryProfile;
-use crate::session::{collect_doc_names, read_set};
+use crate::session::read_set;
 
 /// Nanoseconds elapsed since `started`, saturated to `u64`.
 pub(crate) fn elapsed_ns(started: Instant) -> u64 {
@@ -208,7 +208,7 @@ pub(crate) struct Pull {
     txn: Option<TxnHandle>,
     catalog: Arc<Catalog>,
     /// The documents of `catalog` the statement reads ([`read_set`]);
-    /// `None`: every one.
+    /// `None`: every one, for a computed name.
     reads: Option<Vec<String>>,
     stmt: Statement,
     plan: Plan,
@@ -241,9 +241,8 @@ impl Pull {
         txn: Option<TxnHandle>,
     ) -> DbResult<Pull> {
         let open_span = obs.trace.as_mut().map(|t| t.begin(events::CURSOR_OPEN, 1));
-        let missing = collect_doc_names(&stmt)
-            .into_iter()
-            .find(|name| !catalog.docs.contains_key(name));
+        let (names, computed) = read_set(&stmt, |i| Some(catalog.indexes.get(i)?.meta.doc.clone()));
+        let missing = names.iter().find(|name| !catalog.docs.contains_key(*name));
         let compiled = match (&stmt.kind, missing) {
             (StatementKind::Query(e), None) => Ok(Plan::compile(e)),
             (StatementKind::Query(_), Some(name)) => {
@@ -276,7 +275,7 @@ impl Pull {
         if let (Some(t), Some(span)) = (obs.trace.as_mut(), open_span) {
             t.end(span);
         }
-        let reads = read_set(&stmt, |i| Some(catalog.indexes.get(i)?.meta.doc.clone()));
+        let reads = (!computed).then_some(names);
         Ok(Pull {
             txn,
             catalog,
