@@ -361,3 +361,165 @@ fn snapshots_share_plans_across_a_data_only_commit() {
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// EXPLAIN ANALYZE estimates a positional step predicate at one node per
+/// parent: `item[3]` under the single `r` is one item, not a fraction of
+/// all 600.
+#[test]
+fn positional_predicate_estimates_one_item_per_parent() {
+    let dir = tmpdir("positional");
+    let db = Database::create(&dir, DbConfig::default()).unwrap();
+    let mut s = db.session();
+    s.execute("CREATE DOCUMENT 'd'").unwrap();
+    s.load_xml("d", &skewed_doc(600)).unwrap();
+    let report = s.explain_analyze("doc('d')/r/item[3]").unwrap();
+    let step = report
+        .lines()
+        .find(|l| l.contains("Step child::item"))
+        .unwrap_or_else(|| panic!("no item step:\n{report}"));
+    assert!(
+        step.contains("est=1 act=1"),
+        "a positional predicate keeps one item per parent:\n{report}"
+    );
+
+    drop(s);
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Counts the runs of `q` on `s` that parsed, running `between` after
+/// each of `runs` runs; `check` sees every answer.
+fn count_parses(
+    s: &mut sedna::Session,
+    q: &str,
+    runs: usize,
+    mut between: impl FnMut(usize),
+    check: impl Fn(&str),
+) -> usize {
+    let mut parses = 0;
+    for i in 0..runs {
+        check(&s.query(q).unwrap());
+        parses += usize::from(s.last_profile().unwrap().parse_ns > 0);
+        between(i);
+    }
+    parses
+}
+
+/// A cached plan is a function of its text alone: commits to a document
+/// the query does not read leave it cached, so 200 runs parse once.
+#[test]
+fn commits_to_another_document_keep_the_plan_cached() {
+    let dir = tmpdir("other-doc");
+    let db = Database::create(&dir, DbConfig::default()).unwrap();
+    let (mut s, mut w) = (db.session(), db.session());
+    s.execute("CREATE DOCUMENT 'a'").unwrap();
+    s.load_xml("a", DOC).unwrap();
+    s.execute("CREATE DOCUMENT 'b'").unwrap();
+    s.load_xml("b", "<r><v>0</v></r>").unwrap();
+
+    let parses = count_parses(
+        &mut s,
+        "doc('a')//sku/text()",
+        200,
+        |i| {
+            w.execute(&format!("UPDATE replace value of doc('b')/r/v with 'x{i}'"))
+                .unwrap();
+        },
+        |out| assert_eq!(out, "a1b2"),
+    );
+    assert!(parses <= 1, "{parses} of 200 runs parsed");
+
+    drop((s, w));
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Commits to the document a query reads leave its text cached too, and
+/// every run is costed on the statistics it runs on: after 200 small
+/// commits to `a` and a bulk load, the same cached text flips from the
+/// structural scan to the index, still without a parse.
+#[test]
+fn commits_to_the_read_document_keep_the_plan_cached_and_costed() {
+    let dir = tmpdir("same-doc");
+    let db = Database::create(&dir, DbConfig::default()).unwrap();
+    let (mut s, mut w) = (db.session(), db.session());
+    s.execute("CREATE DOCUMENT 'a'").unwrap();
+    s.load_xml("a", "<r><item><k>v0</k></item></r>").unwrap();
+    s.execute("CREATE INDEX 'byk' ON doc('a')/r/item BY k AS xs:string")
+        .unwrap();
+    let q = "doc('a')/r/item[k = \"v500\"]/k/text()";
+
+    let mut parses = count_parses(
+        &mut s,
+        q,
+        200,
+        |i| {
+            w.execute(&format!(
+                "UPDATE replace value of doc('a')/r/item[1]/k with 'w{i}'"
+            ))
+            .unwrap();
+        },
+        |out| assert_eq!(out, ""),
+    );
+    assert_eq!(
+        s.last_plan_decision().unwrap().access_path,
+        sedna::AccessPath::Scan
+    );
+
+    w.execute("UPDATE delete doc('a')/r").unwrap();
+    w.load_xml("a", &skewed_doc(600)).unwrap();
+    parses += count_parses(&mut s, q, 1, |_| {}, |out| assert_eq!(out, "v500"));
+    assert!(parses <= 1, "{parses} of 201 runs parsed");
+    let d = s.last_plan_decision().unwrap();
+    assert_eq!(d.access_path, sedna::AccessPath::Index);
+    assert!(s.last_stats.index_lookups >= 1);
+
+    drop((s, w));
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A plan-cache hit reports the decision of the statement just run, in
+/// `last_plan_decision` and in the `sedna_plan_chosen_*` counters, not
+/// the decision of whatever this session compiled last.
+#[test]
+fn a_cache_hit_reports_its_own_plan_decision() {
+    let dir = tmpdir("hit-decision");
+    let db = Database::create(&dir, DbConfig::default()).unwrap();
+    let mut s = db.session();
+    s.execute("CREATE DOCUMENT 'd'").unwrap();
+    s.load_xml("d", &skewed_doc(600)).unwrap();
+    s.execute("CREATE INDEX 'byk' ON doc('d')/r/item BY k AS xs:string")
+        .unwrap();
+    let q1 = "doc('d')/r/item[k = \"v500\"]/k/text()";
+    let q2 = "count(doc('d')/r/item)";
+    let chosen = |name: &str| db.metrics_snapshot().counter(name);
+
+    assert_eq!(s.query(q1).unwrap(), "v500");
+    assert_eq!(
+        s.last_plan_decision().unwrap().access_path,
+        sedna::AccessPath::Index
+    );
+    assert_eq!(s.query(q2).unwrap(), "600");
+    assert_eq!(
+        s.last_plan_decision().unwrap().access_path,
+        sedna::AccessPath::Scan
+    );
+
+    let (index, scan) = (
+        chosen("sedna_plan_chosen_index_total"),
+        chosen("sedna_plan_chosen_scan_total"),
+    );
+    assert_eq!(s.query(q1).unwrap(), "v500");
+    assert_eq!(s.last_profile().unwrap().parse_ns, 0, "q1 hits the cache");
+    assert_eq!(
+        s.last_plan_decision().unwrap().access_path,
+        sedna::AccessPath::Index
+    );
+    assert_eq!(chosen("sedna_plan_chosen_index_total"), index + 1);
+    assert_eq!(chosen("sedna_plan_chosen_scan_total"), scan);
+
+    drop(s);
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
