@@ -1,7 +1,6 @@
-//! Session admission control and the catalog plan-invalidation
-//! generation: the two lock-free protocols of the database manager,
-//! extracted so the `loom_models` suite can exhaustively interleave them
-//! under `--cfg loom` (see `docs/correctness.md`).
+//! Session admission control: the lock-free protocol of the database
+//! manager, extracted so the `loom_models` suite can exhaustively
+//! interleave it under `--cfg loom` (see `docs/correctness.md`).
 
 use sedna_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -96,72 +95,6 @@ impl SessionGate {
     }
 }
 
-/// The catalog generation: a monotonic counter bumped when a commit
-/// publishes a catalog-shape change (a document or index created, dropped
-/// or redefined).
-///
-/// The plan cache keys entries by `(statement text, generation)`, so a
-/// bump lazily invalidates every cached plan without a conservative
-/// cache clear. The
-/// `plan_cache_generation_*` loom model proves the protocol: once a
-/// bump is visible to a session, that session can never again be served
-/// a plan cached under the superseded generation.
-#[derive(Debug, Default)]
-pub(crate) struct CatalogGeneration(AtomicU64);
-
-impl CatalogGeneration {
-    pub(crate) fn new() -> CatalogGeneration {
-        CatalogGeneration::default()
-    }
-
-    /// The generation statements should be planned (and cached) at.
-    /// Acquire pairs with the Release in [`CatalogGeneration::bump`]:
-    /// a session that reads the bumped value also sees the catalog
-    /// change that caused it.
-    pub(crate) fn current(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-
-    /// Marks every plan cached so far as stale. Release pairs with the
-    /// Acquire in [`CatalogGeneration::current`]: the catalog mutation
-    /// performed before the bump is visible to any session that plans
-    /// at the new generation.
-    pub(crate) fn bump(&self) {
-        self.0.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// The statistics epoch: a monotonic counter bumped whenever a bulk data
-/// change moves the descriptive-schema statistics enough to matter for
-/// planning (document load/drop, any committed update statement).
-///
-/// It is deliberately separate from [`CatalogGeneration`]: the catalog
-/// generation tracks catalog *shape* (DDL), while the stats epoch tracks
-/// data *volume*. The cost-based planner keys cached plans by both, so a
-/// bulk load re-costs every cached plan (a scan-favorable plan may have
-/// become index-favorable) without pretending the catalog changed.
-#[derive(Debug, Default)]
-pub(crate) struct StatsEpoch(AtomicU64);
-
-impl StatsEpoch {
-    pub(crate) fn new() -> StatsEpoch {
-        StatsEpoch::default()
-    }
-
-    /// The epoch statements should be planned (and cached) at. Acquire
-    /// pairs with the Release in [`StatsEpoch::bump`], so a session that
-    /// observes the new epoch also observes the data change behind it.
-    pub(crate) fn current(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-
-    /// Marks every plan costed so far as stale. Release pairs with the
-    /// Acquire in [`StatsEpoch::current`].
-    pub(crate) fn bump(&self) {
-        self.0.fetch_add(1, Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,25 +123,5 @@ mod tests {
         g.release();
         assert!(g.try_admit(2), "a released slot is reusable");
         assert_eq!(g.opened(), g.closed() + g.active() as u64);
-    }
-
-    #[test]
-    fn generation_bumps_are_monotonic() {
-        let g = CatalogGeneration::new();
-        assert_eq!(g.current(), 0);
-        g.bump();
-        g.bump();
-        assert_eq!(g.current(), 2);
-    }
-
-    #[test]
-    fn stats_epoch_is_independent_of_the_catalog_generation() {
-        let g = CatalogGeneration::new();
-        let e = StatsEpoch::new();
-        e.bump();
-        e.bump();
-        e.bump();
-        assert_eq!(e.current(), 3);
-        assert_eq!(g.current(), 0, "data changes must not move the catalog");
     }
 }

@@ -16,9 +16,9 @@ pub struct DbConfig {
     /// Buffer-pool frames.
     pub buffer_frames: usize,
     /// Capacity of the database-wide plan cache: it holds at most this
-    /// many parse+rewrite results, keyed by statement text, valid for one
-    /// catalog generation and statistics epoch, LRU-evicted. `0` disables
-    /// caching.
+    /// many parse+rewrite results (uncosted: every statement is costed
+    /// on the catalog it runs on), keyed by statement text alone,
+    /// LRU-evicted. `0` disables caching.
     pub plan_cache_capacity: usize,
     /// Admission-controlled session limit enforced by
     /// [`Database::try_session`] (the entry point the network layer

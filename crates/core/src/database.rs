@@ -17,7 +17,7 @@ use sedna_wal::{
 
 use sedna_obs::{SpanEvent, TraceBuffer};
 
-use crate::admission::{CatalogGeneration, SessionGate, StatsEpoch};
+use crate::admission::SessionGate;
 use crate::catalog::{self, Catalog, CatalogWrites};
 use crate::config::DbConfig;
 use crate::error::{DbError, DbResult};
@@ -162,13 +162,11 @@ impl Family {
 
 /// One policy-retained commit snapshot (`AS OF` support): the version
 /// manager pins its page versions against purge; the catalog of the same
-/// commit is the metadata view of that moment, and `generation` the
-/// catalog generation it was published at.
+/// commit is the metadata view of that moment.
 struct RetainedSnapshot {
     ts: u64,
     at: Instant,
     catalog: Arc<Catalog>,
-    generation: u64,
 }
 
 pub(crate) struct DbInner {
@@ -204,25 +202,12 @@ pub(crate) struct DbInner {
     /// Session admission control (live-session accounting behind
     /// [`Database::try_session`]); see [`SessionGate`].
     pub(crate) sessions: SessionGate,
-    /// Catalog generation: bumped when a commit publishes a catalog-shape
-    /// change (a document or index created, dropped or redefined), inside
-    /// the publishing catalog write section. Plan caches key entries by
-    /// `(statement text, generation)`, so a bump lazily invalidates every
-    /// cached plan — in this session and every other — without a
-    /// conservative cache clear.
-    pub(crate) catalog_generation: CatalogGeneration,
-    /// Statistics epoch: bumped on bulk data changes (document load/drop,
-    /// committed update statements). The cost-based planner keys cached
-    /// plans by it, so plans re-cost once the descriptive-schema
-    /// statistics they were estimated from are superseded. Deliberately
-    /// separate from `catalog_generation` (shape vs volume).
-    pub(crate) stats_epoch: StatsEpoch,
-    /// The database-wide plan cache: a statement compiled by one
-    /// connection is reused by every other until the catalog generation
-    /// or statistics epoch moves. One mutex over one LRU of
-    /// `plan_cache_capacity` plans, held around get/insert only — never
-    /// across parse or execution. Per family member: a fork never shares
-    /// compiled plans (or their generation/stats epochs) with its parent.
+    /// The database-wide plan cache: the rewritten, uncosted statement a
+    /// connection compiled is reused by every other while it stays
+    /// cached. One mutex over one LRU of `plan_cache_capacity` plans,
+    /// held around get/insert only — never across parse or execution.
+    /// Per family member: a fork never shares compiled plans with its
+    /// parent.
     pub(crate) shared_plans: SharedPlanCache,
     /// Ring of recently kept query traces (see [`DbConfig::trace_sample`]).
     pub(crate) traces: TraceBuffer,
@@ -272,25 +257,14 @@ impl DbInner {
         Arc::clone(&self.catalog.read())
     }
 
-    /// The published catalog and its generation, read together: a commit
-    /// bumps the generation inside its publishing write section.
-    pub(crate) fn published_with_generation(&self) -> (Arc<Catalog>, u64) {
-        let root = self.catalog.read();
-        (Arc::clone(&root), self.catalog_generation.current())
-    }
-
     /// Begins a read-only transaction paired with the catalog of the same
-    /// commit and that catalog's generation: [`DbInner::publish`] takes a
-    /// commit's timestamp, swaps its root and bumps the generation under
-    /// the write lock, so a reader that pins its page snapshot and clones
-    /// the root under the read lock sees all of a commit or none of it.
-    pub(crate) fn begin_snapshot(&self) -> (TxnHandle, Arc<Catalog>, u64) {
+    /// commit: [`DbInner::publish`] takes a commit's timestamp and swaps
+    /// its root under the write lock, so a reader that pins its page
+    /// snapshot and clones the root under the read lock sees all of a
+    /// commit or none of it.
+    pub(crate) fn begin_snapshot(&self) -> (TxnHandle, Arc<Catalog>) {
         let root = self.catalog.read();
-        (
-            self.txns.begin_read_only_on(self.branch),
-            Arc::clone(&root),
-            self.catalog_generation.current(),
-        )
+        (self.txns.begin_read_only_on(self.branch), Arc::clone(&root))
     }
 
     /// Takes a document id from a counter that never rolls back: an
@@ -312,11 +286,7 @@ impl DbInner {
         let mut root = self.catalog.write();
         let ts = self.txns.versions.commit(txn);
         if !writes.is_empty() {
-            let reshaped = writes.reshapes(&root);
             writes.publish(Arc::make_mut(&mut root));
-            if reshaped {
-                self.catalog_generation.bump();
-            }
         }
         ts
     }
@@ -330,12 +300,11 @@ impl DbInner {
         if keep == 0 && max_ms == 0 {
             return;
         }
-        let (snap, catalog, generation) = {
+        let (snap, catalog) = {
             let root = self.catalog.read();
             (
                 self.txns.versions.create_snapshot_on(self.branch),
                 Arc::clone(&root),
-                self.catalog_generation.current(),
             )
         };
         let mut ring = self.retained.lock();
@@ -347,7 +316,6 @@ impl DbInner {
                 ts: snap.ts,
                 at: Instant::now(),
                 catalog,
-                generation,
             });
         }
         while keep > 0 && ring.len() > keep {
@@ -430,8 +398,6 @@ impl Database {
                 retained: Mutex::new(VecDeque::new()),
                 obs,
                 sessions: SessionGate::new(),
-                catalog_generation: CatalogGeneration::new(),
-                stats_epoch: StatsEpoch::new(),
                 shared_plans,
                 traces: TraceBuffer::new(TRACE_RING_CAPACITY),
                 slow_log: SlowLog::new(SLOW_LOG_CAPACITY),
@@ -482,8 +448,6 @@ impl Database {
             retained: Mutex::new(VecDeque::new()),
             obs,
             sessions: SessionGate::new(),
-            catalog_generation: CatalogGeneration::new(),
-            stats_epoch: StatsEpoch::new(),
             shared_plans,
             traces: TraceBuffer::new(TRACE_RING_CAPACITY),
             slow_log: SlowLog::new(SLOW_LOG_CAPACITY),
@@ -628,12 +592,12 @@ impl Database {
     /// [`DbConfig::retain_ms`]) holds no snapshot at or before `ts`.
     pub fn session_as_of(&self, ts: u64) -> DbResult<Session> {
         let inner = &self.inner;
-        let (snap_ts, catalog, generation) = {
+        let (snap_ts, catalog) = {
             let ring = inner.retained.lock();
             ring.iter()
                 .rev()
                 .find(|r| r.ts <= ts)
-                .map(|r| (r.ts, Arc::clone(&r.catalog), r.generation))
+                .map(|r| (r.ts, Arc::clone(&r.catalog)))
         }
         .ok_or_else(|| {
             DbError::NotFound(format!(
@@ -649,12 +613,7 @@ impl Database {
         inner
             .reserve_session(false)
             .expect("unlimited reservation cannot fail");
-        Ok(Session::new_as_of(
-            Arc::clone(inner),
-            handle,
-            catalog,
-            generation,
-        ))
+        Ok(Session::new_as_of(Arc::clone(inner), handle, catalog))
     }
 
     /// Opens an existing database, running the two-step recovery of §6.4:
@@ -866,8 +825,6 @@ impl Database {
                 retained: Mutex::new(VecDeque::new()),
                 obs,
                 sessions: SessionGate::new(),
-                catalog_generation: CatalogGeneration::new(),
-                stats_epoch: StatsEpoch::new(),
                 shared_plans,
                 traces: TraceBuffer::new(TRACE_RING_CAPACITY),
                 slow_log: SlowLog::new(SLOW_LOG_CAPACITY),
@@ -917,23 +874,6 @@ impl Database {
     /// Number of live sessions on this database.
     pub fn active_sessions(&self) -> usize {
         self.inner.sessions.active()
-    }
-
-    /// The current catalog generation. Bumped when a commit publishes a
-    /// catalog-shape change (a document or index created, dropped or
-    /// redefined); plan caches key entries by `(statement text,
-    /// generation)` so stale plans miss instead of requiring a
-    /// conservative clear.
-    pub fn catalog_generation(&self) -> u64 {
-        self.inner.catalog_generation.current()
-    }
-
-    /// The current statistics epoch. Bumped on every bulk data change
-    /// (document load/drop, committed update statement); the cost-based
-    /// planner keys cached plans by it so access-path choices are
-    /// re-costed once the statistics that justified them are superseded.
-    pub fn stats_epoch(&self) -> u64 {
-        self.inner.stats_epoch.current()
     }
 
     /// A snapshot of the descriptive-schema statistics of document

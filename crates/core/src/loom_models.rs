@@ -8,16 +8,18 @@
 //! * the session-admission CAS never over-admits: with `max_sessions =
 //!   1`, two racing admissions can never both claim the last slot, and
 //!   the lifetime ledger `opened == closed + active` balances;
-//! * the plan-cache generation protocol never serves a stale plan: once
-//!   a session observes a bumped generation it also observes the catalog
-//!   change behind the bump, and a plan cached under the superseded
-//!   generation key-misses.
+//! * the catalog's publish/snapshot pairing is atomic: a snapshot holds
+//!   all of a commit's catalog entries or none of them, and a commit
+//!   never changes a snapshot taken before it.
 
-use sedna_sync::atomic::{AtomicU64, Ordering};
-use sedna_sync::{model, thread, Arc};
+use sedna_sas::XPtr;
+use sedna_schema::SchemaTree;
+use sedna_storage::text::TextStore;
+use sedna_storage::{DocStorage, ParentMode};
+use sedna_sync::{model, thread, Arc, RwLock};
 
-use crate::admission::{CatalogGeneration, SessionGate};
-use crate::plan_cache::{PlanCache, PlanKey};
+use crate::admission::SessionGate;
+use crate::catalog::{Catalog, CatalogWrites, DocData};
 
 /// Three sessions race for a single admission slot: the CAS loop must
 /// never let `active` exceed the bound, and every admission must be
@@ -59,53 +61,54 @@ fn session_admission_cas_never_over_admits() {
     });
 }
 
-/// A DDL thread mutates the catalog (modelled as a version cell) and
-/// bumps the generation; a querying session with a warm plan cache must
-/// never be served the pre-DDL plan at the post-DDL generation, and a
-/// session that observes the bump must also observe the catalog change.
+/// An empty document entry with id `id` (no storage behind it: the model
+/// only moves catalog pointers).
+fn doc(id: u64) -> DocData {
+    DocData {
+        id,
+        schema: SchemaTree::new(),
+        storage: DocStorage {
+            mode: ParentMode::Indirect,
+            doc_handle: XPtr::NULL,
+            text: TextStore::new(),
+            overflow_indir: XPtr::NULL,
+            stats: Default::default(),
+        },
+    }
+}
+
+/// A committer publishes two documents in one catalog write section, as
+/// `DbInner::publish` does (`Arc::make_mut` on the root under
+/// `catalog.write()`); a reader takes snapshots as
+/// `DbInner::begin_snapshot` does (clones the root under
+/// `catalog.read()`). Every snapshot must hold both documents or
+/// neither, and keep holding what it held once the commit is done.
 #[test]
-fn plan_cache_never_serves_a_stale_plan_after_a_bump() {
+fn catalog_snapshot_sees_all_of_a_commit_or_none() {
     model::check(|| {
-        let generation = Arc::new(CatalogGeneration::new());
-        // Stand-in for the catalog shape the DDL changes: 0 = old, 1 = new.
-        let catalog_shape = Arc::new(AtomicU64::new(0));
-        let stmt = sedna_xquery::parser::parse_statement("1").unwrap();
-        let key = |generation| PlanKey {
-            generation,
-            stats_epoch: 0,
-        };
-        let mut cache = PlanCache::new(4);
-        cache.insert("1", key(generation.current()), stmt);
-        let ddl = {
-            let generation = Arc::clone(&generation);
-            let catalog_shape = Arc::clone(&catalog_shape);
+        let catalog = Arc::new(RwLock::new(Arc::new(Catalog::default())));
+        let committer = {
+            let catalog = Arc::clone(&catalog);
             thread::spawn(move || {
-                // relaxed: the generation bump below releases this write;
-                // readers only look after an Acquire of the bumped value.
-                catalog_shape.store(1, Ordering::Relaxed);
-                generation.bump();
+                let mut writes = CatalogWrites::default();
+                writes.put_doc("a", Some(doc(1)));
+                writes.put_doc("b", Some(doc(2)));
+                let mut root = catalog.write();
+                writes.publish(Arc::make_mut(&mut root));
             })
         };
-        for _ in 0..2 {
-            let g = generation.current();
-            if cache.get("1", key(g)).is_some() {
-                // Snapshot semantics: a hit is legal only at the
-                // generation the plan was cached under.
-                assert_eq!(g, 0, "stale plan served at a bumped generation");
-            }
-            if g == 1 {
-                // The bump's Release / our Acquire pairing must make the
-                // catalog change visible before any replanning happens.
-                // relaxed: happens-before is established by the
-                // generation Acquire load above.
-                assert_eq!(catalog_shape.load(Ordering::Relaxed), 1);
-            }
+        let snapshots: Vec<(Arc<Catalog>, usize)> = (0..2)
+            .map(|_| {
+                let snap = Arc::clone(&catalog.read());
+                let seen = snap.docs.len();
+                assert!(seen == 0 || seen == 2, "a snapshot saw half a commit");
+                (snap, seen)
+            })
+            .collect();
+        committer.join().unwrap();
+        for (snap, seen) in snapshots {
+            assert_eq!(snap.docs.len(), seen, "a commit changed a snapshot");
         }
-        ddl.join().unwrap();
-        assert_eq!(generation.current(), 1);
-        assert!(
-            cache.get("1", key(generation.current())).is_none(),
-            "the cached plan must key-miss after the bump"
-        );
+        assert_eq!(catalog.read().docs.len(), 2);
     });
 }

@@ -1,24 +1,17 @@
 //! The database-wide plan cache.
 //!
-//! The profiler (PR 1) shows every repeated statement paying the parse
-//! and static-analysis/rewrite phases again even though both are pure
-//! functions of (statement text, catalog). This module caches the
-//! *rewritten* [`Statement`] per statement text in one bounded LRU
-//! behind one mutex, shared by every session of the database, so a
-//! statement compiled by one connection skips straight to the executor
-//! on all of them.
+//! Parsing, static analysis and rewriting are pure functions of the
+//! statement text: none of them reads the catalog (§5.1's rule-based
+//! rewriter needs only the query). This module caches the *rewritten*,
+//! not yet costed [`Statement`] per statement text in one bounded LRU
+//! behind one mutex, shared by every session, transaction and `AS OF`
+//! snapshot of the database, so a statement compiled by one connection
+//! skips straight to costing and execution on all of them.
 //!
-//! Invalidation contract: every entry is stamped with a [`PlanKey`] —
-//! the **catalog generation** (bumped when a commit publishes a
-//! catalog-shape change: a document or index created, dropped or
-//! redefined)
-//! and the **statistics epoch** (bumped by bulk data changes: document
-//! load/drop, committed updates — so the cost-based planner re-costs
-//! plans whose access-path choice may have flipped). A lookup whose
-//! key no longer matches is a miss and evicts the stale entry. This
-//! replaces the earlier conservative clear-on-any-DDL: unrelated
-//! statements stay cached across catalog changes, because both
-//! counters are shared database state.
+//! Nothing in an entry can go stale, so nothing invalidates it: the
+//! decisions that read the descriptive schema (the cost-based planner's
+//! access path and predicate order) are made on every statement, after
+//! the lookup, on the catalog the statement runs on.
 
 use std::collections::HashMap;
 
@@ -26,19 +19,8 @@ use sedna_obs::Counter;
 use sedna_sync::{Mutex, MutexGuard};
 use sedna_xquery::ast::Statement;
 
-/// Validity stamp of a cached plan: the catalog/statistics state it was
-/// planned under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PlanKey {
-    /// Catalog generation at plan time (catalog *shape*).
-    pub(crate) generation: u64,
-    /// Statistics epoch at plan time (data *volume*; re-costs plans
-    /// after bulk updates).
-    pub(crate) stats_epoch: u64,
-}
-
 /// The plan cache proper: a bounded LRU mapping statement text to its
-/// parse+rewrite result, validity-stamped with a [`PlanKey`].
+/// parse+rewrite result.
 ///
 /// Recency is tracked with a monotonic sequence number per entry;
 /// eviction scans for the minimum. Capacities are small (default 64),
@@ -54,7 +36,6 @@ pub(crate) struct PlanCache {
 #[derive(Debug)]
 struct CacheEntry {
     stmt: Statement,
-    key: PlanKey,
     last_used: u64,
 }
 
@@ -68,30 +49,17 @@ impl PlanCache {
         }
     }
 
-    /// Looks up the rewritten statement for `text` planned under `key`,
-    /// refreshing recency. An entry cached under a different key
-    /// (superseded catalog generation or stats epoch) is stale: it is
-    /// evicted and the lookup misses.
-    pub(crate) fn get(&mut self, text: &str, key: PlanKey) -> Option<Statement> {
+    /// Looks up the rewritten statement for `text`, refreshing recency.
+    pub(crate) fn get(&mut self, text: &str) -> Option<Statement> {
         self.seq += 1;
-        let seq = self.seq;
-        match self.entries.get_mut(text) {
-            Some(e) if e.key == key => {
-                e.last_used = seq;
-                Some(e.stmt.clone())
-            }
-            Some(_) => {
-                self.entries.remove(text);
-                None
-            }
-            None => None,
-        }
+        let e = self.entries.get_mut(text)?;
+        e.last_used = self.seq;
+        Some(e.stmt.clone())
     }
 
-    /// Inserts the rewritten statement for `text` stamped with `key`,
-    /// evicting the least-recently-used entry when full. No-op when
-    /// disabled.
-    pub(crate) fn insert(&mut self, text: &str, key: PlanKey, stmt: Statement) {
+    /// Inserts the rewritten statement for `text`, evicting the
+    /// least-recently-used entry when full. No-op when disabled.
+    pub(crate) fn insert(&mut self, text: &str, stmt: Statement) {
         if self.capacity == 0 {
             return;
         }
@@ -110,13 +78,12 @@ impl PlanCache {
             text.to_string(),
             CacheEntry {
                 stmt,
-                key,
                 last_used: self.seq,
             },
         );
     }
 
-    /// Number of cached plans, stale entries included (tests/diagnostics).
+    /// Number of cached plans (tests/diagnostics).
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
@@ -156,13 +123,13 @@ impl SharedPlanCache {
     }
 
     /// Locked [`PlanCache::get`].
-    pub(crate) fn get(&self, text: &str, key: PlanKey) -> Option<Statement> {
-        self.lock().get(text, key)
+    pub(crate) fn get(&self, text: &str) -> Option<Statement> {
+        self.lock().get(text)
     }
 
     /// Locked [`PlanCache::insert`].
-    pub(crate) fn insert(&self, text: &str, key: PlanKey, stmt: Statement) {
-        self.lock().insert(text, key, stmt);
+    pub(crate) fn insert(&self, text: &str, stmt: Statement) {
+        self.lock().insert(text, stmt);
     }
 
     /// Number of cached plans (tests/diagnostics).
@@ -179,84 +146,46 @@ mod tests {
         sedna_xquery::parser::parse_statement(text).unwrap()
     }
 
-    fn key(generation: u64) -> PlanKey {
-        PlanKey {
-            generation,
-            stats_epoch: 0,
-        }
-    }
-
     #[test]
     fn hit_returns_inserted_plan() {
         let mut c = PlanCache::new(4);
         let s = stmt("doc('d')/r");
-        c.insert("doc('d')/r", key(0), s.clone());
-        assert_eq!(c.get("doc('d')/r", key(0)), Some(s));
-        assert_eq!(c.get("doc('d')/other", key(0)), None);
-    }
-
-    #[test]
-    fn generation_mismatch_misses_and_evicts() {
-        let mut c = PlanCache::new(4);
-        c.insert("a", key(3), stmt("1"));
-        assert!(c.get("a", key(3)).is_some());
-        // A catalog change bumped the generation: stale entry evicted.
-        assert_eq!(c.get("a", key(4)), None);
-        assert_eq!(c.len(), 0);
-        // Re-inserted at the new generation, it hits again.
-        c.insert("a", key(4), stmt("1"));
-        assert!(c.get("a", key(4)).is_some());
-    }
-
-    #[test]
-    fn stats_epoch_mismatch_misses_and_evicts() {
-        let mut c = PlanCache::new(4);
-        let k0 = PlanKey {
-            generation: 1,
-            stats_epoch: 7,
-        };
-        c.insert("a", k0, stmt("1"));
-        assert!(c.get("a", k0).is_some());
-        // A bulk load bumped the stats epoch: the plan must re-cost.
-        let k1 = PlanKey {
-            stats_epoch: 8,
-            ..k0
-        };
-        assert_eq!(c.get("a", k1), None);
-        assert_eq!(c.len(), 0);
+        c.insert("doc('d')/r", s.clone());
+        assert_eq!(c.get("doc('d')/r"), Some(s));
+        assert_eq!(c.get("doc('d')/other"), None);
     }
 
     #[test]
     fn lru_evicts_coldest() {
         let mut c = PlanCache::new(2);
-        c.insert("a", key(0), stmt("1"));
-        c.insert("b", key(0), stmt("2"));
+        c.insert("a", stmt("1"));
+        c.insert("b", stmt("2"));
         // Touch "a" so "b" is the LRU victim.
-        assert!(c.get("a", key(0)).is_some());
-        c.insert("c", key(0), stmt("3"));
+        assert!(c.get("a").is_some());
+        c.insert("c", stmt("3"));
         assert_eq!(c.len(), 2);
-        assert!(c.get("a", key(0)).is_some());
-        assert!(c.get("b", key(0)).is_none());
-        assert!(c.get("c", key(0)).is_some());
+        assert!(c.get("a").is_some());
+        assert!(c.get("b").is_none());
+        assert!(c.get("c").is_some());
     }
 
     #[test]
     fn reinsert_updates_in_place_without_evicting() {
         let mut c = PlanCache::new(2);
-        c.insert("a", key(0), stmt("1"));
-        c.insert("b", key(0), stmt("2"));
-        c.insert("a", key(0), stmt("1 + 1"));
+        c.insert("a", stmt("1"));
+        c.insert("b", stmt("2"));
+        c.insert("a", stmt("1 + 1"));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get("a", key(0)), Some(stmt("1 + 1")));
-        assert!(c.get("b", key(0)).is_some());
+        assert_eq!(c.get("a"), Some(stmt("1 + 1")));
+        assert!(c.get("b").is_some());
     }
 
     #[test]
     fn zero_capacity_disables() {
         let mut c = PlanCache::new(0);
-        c.insert("a", key(0), stmt("1"));
+        c.insert("a", stmt("1"));
         assert_eq!(c.len(), 0);
-        assert!(c.get("a", key(0)).is_none());
+        assert!(c.get("a").is_none());
     }
 
     #[test]
@@ -264,16 +193,13 @@ mod tests {
         let c = SharedPlanCache::new(2, Counter::new());
         let texts: Vec<String> = (0..20).map(|i| format!("{i} + {i}")).collect();
         for t in &texts {
-            c.insert(t, key(0), stmt(t));
+            c.insert(t, stmt(t));
         }
         assert_eq!(c.len(), 2);
         // The two most recent statements are the ones kept.
         for t in &texts[18..] {
-            assert_eq!(c.get(t, key(0)), Some(stmt(t)));
+            assert_eq!(c.get(t), Some(stmt(t)));
         }
-        // Stale-key eviction works through the shared wrapper.
-        assert_eq!(c.get(&texts[19], key(1)), None);
-        assert_eq!(c.len(), 1);
     }
 
     #[test]
@@ -282,9 +208,9 @@ mod tests {
 
         let waits = Counter::new();
         let c = SharedPlanCache::new(64, waits.clone());
-        c.insert("a", key(0), stmt("1"));
+        c.insert("a", stmt("1"));
         // Uncontended traffic never touches the wait counter.
-        assert!(c.get("a", key(0)).is_some());
+        assert!(c.get("a").is_some());
         assert_eq!(waits.get(), 0);
         // Hold the lock from another thread: a lookup must count a wait
         // (and still complete). The holder releases only after it has
@@ -302,7 +228,7 @@ mod tests {
             while !locked.load(Ordering::Acquire) {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
-            assert!(c.get("a", key(0)).is_some());
+            assert!(c.get("a").is_some());
         });
         assert_eq!(waits.get(), 1);
     }

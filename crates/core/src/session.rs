@@ -47,7 +47,6 @@ use crate::database::DbInner;
 use crate::error::{DbError, DbResult};
 use crate::introspect::{SessionTrack, TxnMode};
 use crate::metrics::QueryProfile;
-use crate::plan_cache::PlanKey;
 use crate::stream::{elapsed_ns, query_view, Pull, QueryCursor, RenderedItem, StatementObs};
 
 /// The result of executing one statement.
@@ -151,8 +150,6 @@ enum TxnState {
         handle: TxnHandle,
         /// The published catalog of the commit the page snapshot reads.
         snapshot: Arc<Catalog>,
-        /// The catalog generation `snapshot` was published at.
-        generation: u64,
     },
     Update {
         handle: TxnHandle,
@@ -188,11 +185,9 @@ pub struct Session {
     /// regardless of the database's sampling policy (the wire protocol's
     /// per-request trace flag).
     trace_forced: bool,
-    /// Access-path decision of the statement most recently *compiled*
-    /// by this session (plan-cache misses only: a cache hit reuses the
-    /// already-costed statement — whichever session compiled it — and
-    /// leaves this untouched). `None` until
-    /// the session compiles a statement with the cost-based planner
+    /// Access-path decision of the statement this session most recently
+    /// costed — every statement, plan-cache hit or miss. `None` until
+    /// the session plans a statement with the cost-based planner
     /// enabled.
     last_decision: Option<PlanDecision>,
     /// `AS OF` time-travel session: permanently pinned to one retained
@@ -245,23 +240,16 @@ impl Session {
 
     /// Builds an `AS OF` session: read-only, pinned for its whole
     /// lifetime to the retained snapshot `handle` references, seeing
-    /// `catalog` (the metadata as of that snapshot, published at catalog
-    /// generation `generation`). Created through
+    /// `catalog` (the metadata as of that snapshot). Created through
     /// [`Database::session_as_of`].
     ///
     /// [`Database::session_as_of`]: crate::Database::session_as_of
-    pub(crate) fn new_as_of(
-        db: Arc<DbInner>,
-        handle: TxnHandle,
-        catalog: Arc<Catalog>,
-        generation: u64,
-    ) -> Session {
+    pub(crate) fn new_as_of(db: Arc<DbInner>, handle: TxnHandle, catalog: Arc<Catalog>) -> Session {
         let mut session = Session::new(db);
         session.vas.begin(handle.view(), None);
         session.txn = Some(TxnState::ReadOnly {
             handle,
             snapshot: catalog,
-            generation,
         });
         session.track.set_txn_mode(TxnMode::ReadOnly);
         session.pinned = true;
@@ -323,11 +311,10 @@ impl Session {
     }
 
     /// The cost-based planner's decision for the statement this session
-    /// most recently **compiled** — access path chosen, index rewrites
-    /// applied, predicates reordered, and the estimated cardinality.
-    /// Untouched by plan-cache hits (the cached statement already embodies
-    /// its decision); `None` until a compile happens with
-    /// [`DbConfig::cost_based_planner`] enabled.
+    /// most recently ran — access path chosen, index rewrites applied,
+    /// predicates reordered, and the estimated cardinality. Every
+    /// statement is costed, plan-cache hit or miss; `None` until one is
+    /// planned with [`DbConfig::cost_based_planner`] enabled.
     ///
     /// [`DbConfig::cost_based_planner`]: crate::DbConfig::cost_based_planner
     pub fn last_plan_decision(&self) -> Option<PlanDecision> {
@@ -383,13 +370,9 @@ impl Session {
         if self.txn.is_some() {
             return Err(DbError::Conflict("a transaction is already active".into()));
         }
-        let (handle, snapshot, generation) = self.db.begin_snapshot();
+        let (handle, snapshot) = self.db.begin_snapshot();
         self.vas.begin(handle.view(), None);
-        self.txn = Some(TxnState::ReadOnly {
-            handle,
-            snapshot,
-            generation,
-        });
+        self.txn = Some(TxnState::ReadOnly { handle, snapshot });
         self.track.set_txn_mode(TxnMode::ReadOnly);
         Ok(())
     }
@@ -666,64 +649,56 @@ impl Session {
         self.session_stats.merge(&stats);
     }
 
-    /// Parse + analyse + rewrite + cost-based plan, behind the
-    /// database-wide plan cache: a statement compiled by one connection
-    /// is reused by every other until its [`PlanKey`] (catalog
-    /// generation, statistics epoch) moves. Cached plans report zero
-    /// parse/rewrite nanoseconds. A transaction that reads another
-    /// catalog shape than the published one — a snapshot from before a
-    /// shape change, or its own uncommitted DDL — neither reads nor fills
-    /// the shared cache. The plan is costed on the root its key was read
-    /// with.
+    /// Parse + analyse + rewrite behind the database-wide plan cache,
+    /// then the cost-based plan. The front half of the pipeline reads no
+    /// catalog, so the cache holds the rewritten, uncosted statement by
+    /// text alone, and every session, transaction and `AS OF` snapshot
+    /// reads and fills it. Costing reads the catalog the statement runs
+    /// on, so it runs on every statement, hit or miss, outside the parse
+    /// and rewrite spans. Cached plans report zero parse/rewrite
+    /// nanoseconds.
     fn plan_statement(&mut self, text: &str) -> DbResult<(Statement, u64, u64)> {
-        let (root, generation) = self.db.published_with_generation();
-        let key = PlanKey {
-            generation,
-            stats_epoch: self.db.stats_epoch.current(),
-        };
-        let shared = match &self.txn {
-            None => true,
-            Some(TxnState::ReadOnly { generation: g, .. }) => *g == generation,
-            Some(TxnState::Update { writes, .. }) => !writes.reshapes(&root),
-        };
-        if shared {
-            if let Some(stmt) = self.db.shared_plans.get(text, key) {
+        let (mut stmt, parse_ns, rewrite_ns) = match self.db.shared_plans.get(text) {
+            Some(stmt) => {
                 self.db.obs.query.plan_cache_hits.inc();
-                return Ok((stmt, 0, 0));
+                (stmt, 0, 0)
             }
+            None => self.compile(text)?,
+        };
+        if self.db.cfg.cost_based_planner {
+            self.cost_plan(&mut stmt);
         }
-        // Missed: run the front half of the paper's pipeline, timed per
-        // phase. Handles are clones sharing the database-wide
-        // histograms, so the spans record even on error.
-        let q = self.db.obs.query.clone();
+        Ok((stmt, parse_ns, rewrite_ns))
+    }
+
+    /// Runs the front half of the paper's pipeline on a plan-cache miss,
+    /// timed per phase into the database-wide histograms (a span records
+    /// even when its phase fails), and caches its result.
+    fn compile(&self, text: &str) -> DbResult<(Statement, u64, u64)> {
+        let q = &self.db.obs.query;
         q.plan_cache_misses.inc();
         let parse_span = q.parse_ns.span();
         let stmt = sedna_xquery::parser::parse_statement(text)?;
         let parse_ns = parse_span.finish();
         let rewrite_span = q.rewrite_ns.span();
         let stmt = sedna_xquery::static_ctx::analyze(stmt)?;
-        let mut stmt = sedna_xquery::rewrite::rewrite_statement(stmt);
-        if self.db.cfg.cost_based_planner {
-            self.cost_plan(&mut stmt, root);
-        }
+        let stmt = sedna_xquery::rewrite::rewrite_statement(stmt);
         let rewrite_ns = rewrite_span.finish();
-        if shared {
-            self.db.shared_plans.insert(text, key, stmt.clone());
-        }
+        self.db.shared_plans.insert(text, stmt.clone());
         Ok((stmt, parse_ns, rewrite_ns))
     }
 
-    /// Runs the cost-based planner over a freshly rewritten statement:
-    /// assembles the planner's view (the referenced documents'
-    /// descriptive-schema statistics plus the declared indexes on them)
-    /// from the catalog the statement runs on over the published `root`,
+    /// Runs the cost-based planner over a rewritten statement: assembles
+    /// the planner's view (the referenced documents' descriptive-schema
+    /// statistics plus the declared indexes on them) from the catalog the
+    /// statement runs on ([`Session::view`] over the published root),
     /// lets it rewrite profitable equality predicates onto B-tree index
     /// scans and order predicates by selectivity, then records the
     /// access-path choice in the `sedna_plan_chosen_*` counters and
     /// [`Session::last_plan_decision`].
-    fn cost_plan(&mut self, stmt: &mut Statement, root: Arc<Catalog>) {
+    fn cost_plan(&mut self, stmt: &mut Statement) {
         let names = collect_doc_names(stmt);
-        let view = self.view(root, &names);
+        let view = self.view(self.db.published(), &names);
         let docs: HashMap<String, &SchemaTree> = names
             .iter()
             .filter_map(|n| view.docs.get(n).map(|d| (n.clone(), &d.schema)))
@@ -799,13 +774,6 @@ impl Session {
                     let _ = self.rollback();
                 }
             }
-        }
-        if matches!(&result, Ok(InnerOutcome::Updated(n)) if *n > 0) {
-            // Data volume changed (but not the catalog shape): bump the
-            // statistics epoch so cached plans re-cost against the new
-            // descriptive-schema statistics — an access-path choice that
-            // was right at the old cardinalities may have flipped.
-            self.db.stats_epoch.bump();
         }
         if result.is_ok() {
             self.session_stats.merge(&self.last_stats);
@@ -1034,11 +1002,6 @@ impl Session {
                     let _ = self.rollback();
                 }
             }
-        }
-        if result.is_ok() {
-            // A bulk load is the biggest single data-volume change there
-            // is: re-cost every cached plan against the new statistics.
-            self.db.stats_epoch.bump();
         }
         result
     }

@@ -1,10 +1,10 @@
-//! Plan-cache generation invalidation under concurrent DDL.
+//! The plan cache under DDL, data changes, transactions and snapshots.
 //!
-//! The loom model (`src/loom_models.rs`, under `--cfg loom`) proves the
-//! protocol over every bounded interleaving of a tiny schedule; this
-//! test exercises the real pipeline — sessions, parser, executor,
-//! metrics — under an actual thread race, long enough to cross many
-//! generation bumps.
+//! A cached plan is the rewritten, uncosted statement, a function of its
+//! text alone: nothing invalidates it. Every statement is costed on the
+//! catalog it runs on, so plans follow DDL and statistics without a
+//! re-parse. These tests exercise the real pipeline — sessions, parser,
+//! planner, executor, metrics — including under an actual thread race.
 
 use std::sync::Arc;
 
@@ -19,10 +19,9 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
 const DOC: &str = "<inventory><item><sku>a1</sku></item><item><sku>b2</sku></item></inventory>";
 
 /// A querying session re-runs one cached statement while another session
-/// performs a stream of DDL statements, each bumping the catalog
-/// generation. Every query must stay correct, the hit/miss ledger must
-/// balance against the number of statements, and once DDL quiesces the
-/// next run must re-parse (stale plan key-missed) and then hit again.
+/// performs a stream of DDL statements. Every query must stay correct,
+/// the hit/miss ledger must balance against the number of statements,
+/// and once DDL quiesces the statement still hits the cache.
 #[test]
 fn concurrent_ddl_invalidates_cached_plans_without_wrong_results() {
     let dir = tmpdir("race");
@@ -49,24 +48,15 @@ fn concurrent_ddl_invalidates_cached_plans_without_wrong_results() {
 
     let mut s = db.session();
     for _ in 0..QUERIES {
-        // Correctness under racing invalidation: whether this run hits
-        // the cache or replans at a fresh generation, the answer is the
-        // same — the DDL stream never touches 'inv'.
+        // Correctness under racing DDL: every run is costed on the
+        // catalog it reads, and the DDL stream never touches 'inv'.
         assert_eq!(s.query("doc('inv')//sku/text()").unwrap(), "a1b2");
     }
     ddl_thread.join().unwrap();
-    // The query loop may have outlasted the DDL thread and planned at the
-    // final generation already; one more DDL makes the generation the
-    // query session last planned at stale by construction.
+    // One more DDL after the query loop, however the race went.
     db.session()
         .execute("CREATE DOCUMENT 'after_race'")
         .unwrap();
-
-    assert_eq!(
-        db.catalog_generation(),
-        2 + DDLS as u64,
-        "every DDL (and the initial CREATE) must bump the generation"
-    );
 
     // Every lookup is either a hit or a miss — nothing double-counted,
     // nothing lost, across however the race interleaved.
@@ -76,17 +66,13 @@ fn concurrent_ddl_invalidates_cached_plans_without_wrong_results() {
     let statements = snap.counter("sedna_query_statements_total");
     assert_eq!(hits + misses, statements, "plan-cache ledger must balance");
 
-    // DDL has quiesced at a final generation the query session has not
-    // planned at yet: the next run must re-parse, the one after must hit.
-    s.query("doc('inv')//sku/text()").unwrap();
-    let replan = s.last_profile().unwrap();
-    assert!(replan.parse_ns > 0, "stale plan must key-miss after DDL");
-    s.query("doc('inv')//sku/text()").unwrap();
+    // DDL has quiesced: the cached text still hits, with the same answer.
+    assert_eq!(s.query("doc('inv')//sku/text()").unwrap(), "a1b2");
+    let after_ddl = s.last_profile().unwrap();
+    assert_eq!(after_ddl.parse_ns, 0, "DDL leaves the cached text cached");
+    assert_eq!(s.query("doc('inv')//sku/text()").unwrap(), "a1b2");
     let hit = s.last_profile().unwrap();
-    assert_eq!(
-        hit.parse_ns, 0,
-        "replanned entry must hit at the new generation"
-    );
+    assert_eq!(hit.parse_ns, 0, "the cached text keeps hitting");
 
     drop(s);
     db.close().unwrap();
@@ -104,11 +90,11 @@ fn skewed_doc(count: usize) -> String {
     xml
 }
 
-/// A data-volume change must re-cost cached plans without touching the
-/// catalog generation: the same equality query is planned as a
-/// structural scan while the document is empty, keeps hitting the plan
-/// cache, and — after a bulk load bumps the statistics epoch — key-misses,
-/// replans, and flips to the B-tree index access path.
+/// A data-volume change re-costs cached plans: the same equality query is
+/// planned as a structural scan while the document is empty, keeps
+/// hitting the plan cache, and — after a bulk load — still hits, is
+/// costed on the new statistics and flips to the B-tree index access
+/// path.
 #[test]
 fn stats_epoch_bump_recosts_cached_plans_from_scan_to_index() {
     let dir = tmpdir("epoch");
@@ -129,20 +115,16 @@ fn stats_epoch_bump_recosts_cached_plans_from_scan_to_index() {
     s.query(q).unwrap();
     assert_eq!(s.last_profile().unwrap().parse_ns, 0);
 
-    // Bulk load ~600 items: a pure data-volume change. The statistics
-    // epoch must move; the catalog generation must NOT (no shape change).
-    let generation = db.catalog_generation();
-    let epoch = db.stats_epoch();
+    // Bulk load ~600 items: a pure data-volume change.
     s.load_xml("d", &skewed_doc(600)).unwrap();
-    assert_eq!(db.catalog_generation(), generation);
-    assert!(db.stats_epoch() > epoch, "bulk load must bump the epoch");
 
-    // The cached plan key-misses, replans at the new statistics, and the
-    // cold path now routes through the index — with the right answer.
+    // The cached text still hits, is costed on the new statistics, and
+    // now routes through the index — with the right answer.
     assert_eq!(s.query(q).unwrap(), "v500");
-    assert!(
-        s.last_profile().unwrap().parse_ns > 0,
-        "stale plan must key-miss after the epoch bump"
+    assert_eq!(
+        s.last_profile().unwrap().parse_ns,
+        0,
+        "a bulk load leaves the cached text cached"
     );
     let d = s.last_plan_decision().unwrap();
     assert_eq!(d.access_path, sedna::AccessPath::Index);
@@ -322,9 +304,9 @@ fn redefining_an_index_in_one_transaction_invalidates_its_plans() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A commit that changes data but not the catalog shape leaves an open
-/// read-only transaction, and an `AS OF` session, on the shared plan
-/// cache: they reuse what another session compiled after the commit.
+/// An open read-only transaction and an `AS OF` session read the shared
+/// plan cache: they reuse what another session compiled after a commit,
+/// data-only or DDL, and cost it on their own snapshot.
 #[test]
 fn snapshots_share_plans_across_a_data_only_commit() {
     let dir = tmpdir("snapshot-share");
@@ -350,11 +332,11 @@ fn snapshots_share_plans_across_a_data_only_commit() {
     assert_eq!(as_of.query(q).unwrap(), "10");
     assert_eq!(as_of.last_profile().unwrap().parse_ns, 0, "AS OF hit");
 
-    // After a shape change they compile on their own snapshot.
+    // After a shape change they still hit, on their own snapshot.
     s.execute("CREATE DOCUMENT 'e'").unwrap();
     assert_eq!(s.query(q).unwrap(), "11");
     assert_eq!(reader.query(q).unwrap(), "10");
-    assert!(reader.last_profile().unwrap().parse_ns > 0);
+    assert_eq!(reader.last_profile().unwrap().parse_ns, 0);
 
     reader.commit().unwrap();
     drop((s, reader, as_of));

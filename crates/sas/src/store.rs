@@ -320,7 +320,7 @@ mod tests {
             exercise(&store);
             store.sync().unwrap();
         }
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -343,7 +343,7 @@ mod tests {
             store.read(PhysId(0), &mut out).unwrap();
             assert_eq!(out, vec![7u8; ps]);
         }
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -357,7 +357,7 @@ mod tests {
         let mut out = vec![9u8; ps];
         store.read(id, &mut out).unwrap();
         assert_eq!(out, vec![0u8; ps]);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -382,6 +382,6 @@ mod tests {
         assert_eq!(store.alloc().unwrap(), PhysId(0));
         assert_eq!(store.alloc().unwrap(), PhysId(2));
         assert_eq!(store.alloc().unwrap(), PhysId(4));
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -214,10 +214,17 @@ mod tests {
     use crate::writer::WalWriter;
     use sedna_sas::PhysId;
 
+    /// `name` in a directory of its own: tests run in parallel, so each
+    /// removes its directory without racing another's files.
     fn tmpfile(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("sedna-rec-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("sedna-rec-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// Removes the directory [`tmpfile`] made for `path`.
+    fn remove_tmp(path: &std::path::Path) {
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     fn page(n: u32) -> XPtr {
@@ -259,7 +266,7 @@ mod tests {
         );
         assert_eq!(plan.losers, vec![2]);
         assert_eq!(plan.max_ts, 10);
-        std::fs::remove_file(&path).unwrap();
+        remove_tmp(&path);
     }
 
     #[test]
@@ -303,7 +310,7 @@ mod tests {
         // Txn 1 predates the checkpoint: not redone.
         assert_eq!(plan.redo.len(), 1);
         assert_eq!(plan.redo[0].0, 2);
-        std::fs::remove_file(&path).unwrap();
+        remove_tmp(&path);
     }
 
     #[test]
@@ -325,7 +332,7 @@ mod tests {
         let plan = plan_recovery(&path, None).unwrap();
         assert!(plan.redo.is_empty());
         assert!(plan.losers.is_empty());
-        std::fs::remove_file(&path).unwrap();
+        remove_tmp(&path);
     }
 
     #[test]
@@ -350,7 +357,7 @@ mod tests {
         assert_eq!(plan.redo.len(), 2);
         assert_eq!(plan.redo.iter().map(|r| r.0).collect::<Vec<_>>(), [1, 2]);
         assert_eq!(plan.max_ts, 30, "max_ts still reflects the full log");
-        std::fs::remove_file(&path).unwrap();
+        remove_tmp(&path);
     }
 
     #[test]
@@ -383,7 +390,7 @@ mod tests {
                 RedoOp::Page(page(1), 0, PageOp::Free),
             ]
         );
-        std::fs::remove_file(&path).unwrap();
+        remove_tmp(&path);
     }
 
     #[test]
@@ -444,7 +451,7 @@ mod tests {
             plan.branch_events[0].1,
             BranchEvent::Fork { branch: 2, .. }
         ));
-        std::fs::remove_file(&path).unwrap();
+        remove_tmp(&path);
     }
 
     #[test]
@@ -490,7 +497,7 @@ mod tests {
                 RedoOp::Page(page(1), 0, PageOp::Delta(ranges)),
             ]
         );
-        std::fs::remove_file(&path).unwrap();
+        remove_tmp(&path);
     }
 
     /// A log in the shape every earlier version of this crate wrote —
@@ -568,6 +575,6 @@ mod tests {
                 ]
             )]
         );
-        std::fs::remove_file(&path).unwrap();
+        remove_tmp(&path);
     }
 }

@@ -363,10 +363,17 @@ mod tests {
     use super::*;
     use sedna_sas::XPtr;
 
+    /// `name` in a directory of its own: tests run in parallel, so each
+    /// removes its directory without racing another's files.
     fn tmpfile(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("sedna-wal-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("sedna-wal-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// Removes the directory [`tmpfile`] made for `path`.
+    fn remove_tmp(path: &std::path::Path) {
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -398,7 +405,7 @@ mod tests {
             .map(|(_, r)| r)
             .collect();
         assert_eq!(back, recs);
-        std::fs::remove_file(&path).unwrap();
+        remove_tmp(&path);
     }
 
     #[test]
@@ -429,7 +436,7 @@ mod tests {
         assert!(w.buf.len() < SPILL_BYTES);
         w.flush().unwrap();
         assert_eq!(WalReader::read_all(&path).unwrap().len(), 3 + images);
-        std::fs::remove_file(&path).unwrap();
+        remove_tmp(&path);
     }
 
     #[test]
@@ -484,7 +491,7 @@ mod tests {
                 },
             ]
         );
-        std::fs::remove_file(&path).unwrap();
+        remove_tmp(&path);
     }
 
     #[test]
@@ -514,7 +521,7 @@ mod tests {
         let back = WalReader::read_all(&path).unwrap();
         assert_eq!(back.len(), 3);
         assert_eq!(back[2].1, WalRecord::Abort { txn: 2 });
-        std::fs::remove_file(&path).unwrap();
+        remove_tmp(&path);
     }
 
     #[test]
@@ -533,6 +540,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let back = WalReader::read_all(&path).unwrap();
         assert_eq!(back.len(), 1, "scan stops at the corrupt record");
-        std::fs::remove_file(&path).unwrap();
+        remove_tmp(&path);
     }
 }

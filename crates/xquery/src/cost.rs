@@ -95,7 +95,10 @@ pub fn path_stats(tree: &SchemaTree, steps: &[Step]) -> Option<PathStats> {
 /// tests, nested paths, function calls) gets the conservative half.
 pub fn predicate_selectivity(p: &Expr) -> f64 {
     match p {
-        // A bare numeric literal is a positional test: one per parent.
+        // A bare numeric literal is a positional test: cardinality
+        // estimates cap it at one item per parent instead (see
+        // `is_positional`); this rank only orders predicates, and a
+        // positional one is never reordered.
         Expr::Literal(Atom::Number(_)) => SEL_EQ,
         Expr::GeneralCmp(op, ..) | Expr::ValueCmp(op, ..) => match op {
             CmpOp::Eq => SEL_EQ,
@@ -105,21 +108,54 @@ pub fn predicate_selectivity(p: &Expr) -> f64 {
     }
 }
 
+/// Whether predicate `p` is a positional test (`[3]`): it keeps at most
+/// one item of each sequence it filters.
+fn is_positional(p: &Expr) -> bool {
+    matches!(p, Expr::Literal(Atom::Number(_)))
+}
+
+/// Estimated items left of `est` candidates by filter predicate `p`: at
+/// most one for a positional test, else `est` scaled by the predicate's
+/// selectivity.
+pub fn filter_estimate(est: f64, p: &Expr) -> f64 {
+    if is_positional(p) {
+        est.min(1.0)
+    } else {
+        est * predicate_selectivity(p)
+    }
+}
+
 /// Estimated result cardinality of a descending path *with* its step
 /// predicates: the exact bare-path count scaled by each predicate's
-/// selectivity, floored at 1 when the bare path is non-empty.
+/// selectivity, floored at 1 when the bare path is non-empty. A
+/// positional predicate keeps one node per parent, so it caps its step
+/// at the estimate of the path before that step (1, the document node,
+/// for the first step).
 pub fn estimate_path_cardinality(tree: &SchemaTree, steps: &[Step]) -> Option<u64> {
     let bare = path_stats(tree, steps)?;
-    let mut est = bare.nodes as f64;
-    for step in steps {
+    // The fraction of each step's nodes expected to survive the
+    // predicates up to it.
+    let mut frac = 1.0;
+    for (i, step) in steps.iter().enumerate() {
         for p in &step.predicates {
-            est *= predicate_selectivity(p);
+            if !is_positional(p) {
+                frac *= predicate_selectivity(p);
+                continue;
+            }
+            let here = path_stats(tree, &steps[..=i])?.nodes as f64 * frac;
+            let parents = match i {
+                0 => 1,
+                _ => estimate_path_cardinality(tree, &steps[..i])?,
+            };
+            if here > parents as f64 {
+                frac *= parents as f64 / here;
+            }
         }
     }
     Some(if bare.nodes == 0 {
         0
     } else {
-        (est.round() as u64).max(1)
+        ((bare.nodes as f64 * frac).round() as u64).max(1)
     })
 }
 
@@ -212,6 +248,25 @@ mod tests {
         // Empty bare path stays zero even with predicates.
         let est = estimate_path_cardinality(&t, &[child("nope")]).unwrap();
         assert_eq!(est, 0);
+    }
+
+    #[test]
+    fn a_positional_predicate_keeps_one_node_per_parent() {
+        let t = tree_with_counts(3, 10_000);
+        let nth = |name: &str| {
+            let mut step = child(name);
+            step.predicates.push(Expr::Literal(Atom::Number(3.0)));
+            step
+        };
+        // One `r`, so `cold[3]` is one node, not a fraction of 10 000.
+        let est = estimate_path_cardinality(&t, &[child("r"), nth("cold")]).unwrap();
+        assert_eq!(est, 1);
+        // On the first step the parent is the document node.
+        assert_eq!(estimate_path_cardinality(&t, &[nth("r")]).unwrap(), 1);
+        // A positional Filter keeps at most one item.
+        let p = Expr::Literal(Atom::Number(3.0));
+        assert_eq!(filter_estimate(600.0, &p), 1.0);
+        assert_eq!(filter_estimate(0.0, &p), 0.0);
     }
 
     #[test]

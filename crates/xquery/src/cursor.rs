@@ -426,12 +426,11 @@ where
             input, predicate, ..
         } => {
             let child = annotate_op(input, f);
-            let sel = crate::cost::predicate_selectivity(predicate);
             child.map(|c| {
                 if c == 0 {
                     0
                 } else {
-                    ((c as f64 * sel).round() as u64).max(1)
+                    (crate::cost::filter_estimate(c as f64, predicate).round() as u64).max(1)
                 }
             })
         }

@@ -162,9 +162,7 @@ pub fn estimate_expr(e: &Expr, input: &PlannerInput<'_>) -> Option<u64> {
             predicates,
         } => {
             let base = estimate_expr(inner, input)?;
-            let scaled = predicates
-                .iter()
-                .fold(base as f64, |acc, p| acc * cost::predicate_selectivity(p));
+            let scaled = predicates.iter().fold(base as f64, cost::filter_estimate);
             Some(if base == 0 {
                 0
             } else {
