@@ -128,35 +128,49 @@ pub fn filter_estimate(est: f64, p: &Expr) -> f64 {
 /// Estimated result cardinality of a descending path *with* its step
 /// predicates: the exact bare-path count scaled by each predicate's
 /// selectivity, floored at 1 when the bare path is non-empty. A
-/// positional predicate keeps one node per parent, so it caps its step
-/// at the estimate of the path before that step (1, the document node,
-/// for the first step).
+/// positional predicate on a child or attribute step keeps one node per
+/// parent, so it caps its step at the parents owning a node there.
 pub fn estimate_path_cardinality(tree: &SchemaTree, steps: &[Step]) -> Option<u64> {
-    let bare = path_stats(tree, steps)?;
+    let schema_steps: Vec<PathStep> = steps.iter().map(schema_step).collect::<Option<_>>()?;
     // The fraction of each step's nodes expected to survive the
     // predicates up to it.
     let mut frac = 1.0;
     for (i, step) in steps.iter().enumerate() {
+        let per_parent = matches!(step.axis, Axis::Child | Axis::Attribute)
+            && step.predicates.iter().any(is_positional);
+        let cap = per_parent.then(|| frac * parent_share(tree, &schema_steps[..=i]));
         for p in &step.predicates {
-            if !is_positional(p) {
-                frac *= predicate_selectivity(p);
-                continue;
-            }
-            let here = path_stats(tree, &steps[..=i])?.nodes as f64 * frac;
-            let parents = match i {
-                0 => 1,
-                _ => estimate_path_cardinality(tree, &steps[..i])?,
-            };
-            if here > parents as f64 {
-                frac *= parents as f64 / here;
+            match cap {
+                Some(cap) if is_positional(p) => frac = f64::min(frac, cap),
+                _ => frac *= predicate_selectivity(p),
             }
         }
     }
-    Some(if bare.nodes == 0 {
+    let nodes: u64 = sedna_schema::path::eval_structural_path(tree, &schema_steps)
+        .into_iter()
+        .map(|sid| tree.node(sid).node_count)
+        .sum();
+    Some(if nodes == 0 {
         0
     } else {
-        ((bare.nodes as f64 * frac).round() as u64).max(1)
+        ((nodes as f64 * frac).round() as u64).max(1)
     })
+}
+
+/// Parents owning a node of the schema nodes `steps` match, per such
+/// node, as the fan-out histograms count them (1 when there are none).
+fn parent_share(tree: &SchemaTree, steps: &[PathStep]) -> f64 {
+    let (mut nodes, mut parents) = (0, 0);
+    for sid in sedna_schema::path::eval_structural_path(tree, steps) {
+        let n = tree.node(sid);
+        nodes += n.node_count;
+        parents += n.parents_with_children();
+    }
+    if nodes == 0 {
+        1.0
+    } else {
+        parents as f64 / nodes as f64
+    }
 }
 
 /// Cost of answering a path by scanning its schema nodes' block lists
@@ -209,6 +223,9 @@ mod tests {
         t.node_mut(h).block_count = (hot / 100).max(1) as u32;
         t.node_mut(c).node_count = cold;
         t.node_mut(c).block_count = (cold / 100).max(1) as u32;
+        for (sid, count) in [(root, 1), (h, hot), (c, cold)] {
+            t.node_mut(sid).fanout_transition(0, count);
+        }
         t
     }
 
@@ -250,23 +267,47 @@ mod tests {
         assert_eq!(est, 0);
     }
 
+    fn nth(mut step: Step) -> Step {
+        step.predicates.push(Expr::Literal(Atom::Number(3.0)));
+        step
+    }
+
     #[test]
     fn a_positional_predicate_keeps_one_node_per_parent() {
         let t = tree_with_counts(3, 10_000);
-        let nth = |name: &str| {
-            let mut step = child(name);
-            step.predicates.push(Expr::Literal(Atom::Number(3.0)));
-            step
-        };
         // One `r`, so `cold[3]` is one node, not a fraction of 10 000.
-        let est = estimate_path_cardinality(&t, &[child("r"), nth("cold")]).unwrap();
+        let est = estimate_path_cardinality(&t, &[child("r"), nth(child("cold"))]).unwrap();
         assert_eq!(est, 1);
         // On the first step the parent is the document node.
-        assert_eq!(estimate_path_cardinality(&t, &[nth("r")]).unwrap(), 1);
+        assert_eq!(
+            estimate_path_cardinality(&t, &[nth(child("r"))]).unwrap(),
+            1
+        );
+        // `//cold[3]` keeps its `//` step: the parents are still one `r`.
+        let any = Step::plain(Axis::DescendantOrSelf, NodeTest::AnyKind);
+        let est = estimate_path_cardinality(&t, &[any, nth(child("cold"))]).unwrap();
+        assert_eq!(est, 1);
         // A positional Filter keeps at most one item.
         let p = Expr::Literal(Atom::Number(3.0));
         assert_eq!(filter_estimate(600.0, &p), 1.0);
         assert_eq!(filter_estimate(0.0, &p), 0.0);
+    }
+
+    #[test]
+    fn a_long_positional_path_estimates_in_one_pass() {
+        // `/a[3]/a[3]/…` 64 steps deep; below the first level each level
+        // holds two `a` under one parent.
+        let mut t = SchemaTree::new();
+        let mut sid = SchemaTree::ROOT;
+        for depth in 0..64 {
+            sid = t
+                .get_or_add_child(sid, NodeKind::Element, Some(SchemaName::local("a")))
+                .0;
+            t.node_mut(sid).node_count = 1 << depth.min(1);
+            t.node_mut(sid).fanout_transition(0, 1 << depth.min(1));
+        }
+        let steps: Vec<Step> = (0..64).map(|_| nth(child("a"))).collect();
+        assert_eq!(estimate_path_cardinality(&t, &steps).unwrap(), 1);
     }
 
     #[test]
