@@ -95,10 +95,11 @@ pub fn path_stats(tree: &SchemaTree, steps: &[Step]) -> Option<PathStats> {
 /// tests, nested paths, function calls) gets the conservative half.
 pub fn predicate_selectivity(p: &Expr) -> f64 {
     match p {
-        // A bare numeric literal is a positional test: cardinality
-        // estimates cap it at one item per parent instead (see
-        // `is_positional`); this rank only orders predicates, and a
-        // positional one is never reordered.
+        // A bare numeric literal is a positional test: on a child or
+        // attribute step cardinality estimates cap it at one item per
+        // parent instead (see `estimate_path_cardinality`); this rank
+        // only orders predicates, and a positional one is never
+        // reordered.
         Expr::Literal(Atom::Number(_)) => SEL_EQ,
         Expr::GeneralCmp(op, ..) | Expr::ValueCmp(op, ..) => match op {
             CmpOp::Eq => SEL_EQ,
